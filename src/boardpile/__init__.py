@@ -24,7 +24,6 @@ from .counting import (
     characteristic_roots,
     gf_coefficients,
     labelled_period_count,
-    ordered_bell,
     recurrence_counts,
 )
 from .diffusion import (
@@ -87,7 +86,6 @@ __all__ = [
     "labelled_period_count",
     "layout",
     "normalize",
-    "ordered_bell",
     "orientation_of",
     "path",
     "poly_to_config",

@@ -9,15 +9,13 @@ arbitrary-precision values survive any JSON parser.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Sequence
 
 from . import bijection, counting, diffusion, polyomino
 from .graphs import Graph, graph_from_document
-
-_REFERENCE_COUNTS = (1, 2, 6, 19, 61, 196, 629, 2017, 6466, 20727, 66441)
-
 
 class InputError(Exception):
     """Malformed or inconsistent input document or flag value."""
@@ -51,23 +49,28 @@ def _load_graph(path: str) -> Graph:
         raise InputError(f"graph document: {exc}") from exc
 
 
+def _stacks_field(doc: dict) -> tuple[int, ...]:
+    stacks = doc["stacks"]
+    # bool is a subclass of int, but true/false are not chip counts
+    if not isinstance(stacks, list) or not all(type(s) is int for s in stacks):
+        raise InputError("field 'stacks': expected a list of integers")
+    return tuple(stacks)
+
+
 def _load_stacks(path: str, g: Graph) -> tuple[int, ...]:
     doc = _read_document(path, "configuration document")
     if "stacks" not in doc:
         raise InputError("configuration document missing field 'stacks'")
-    stacks = doc["stacks"]
-    if not isinstance(stacks, list) or not all(isinstance(s, int) for s in stacks):
-        raise InputError("field 'stacks': expected a list of integers")
+    stacks = _stacks_field(doc)
     if len(stacks) != g.n:
         raise InputError(
             f"field 'stacks': expected {g.n} values for a graph on {g.n} vertices, "
             f"got {len(stacks)}"
         )
-    return tuple(stacks)
+    return stacks
 
 
-def _load_polyomino(path: str) -> polyomino.BoardPilePolyomino:
-    doc = _read_document(path, "polyomino document")
+def _parse_polyomino(doc: dict) -> polyomino.BoardPilePolyomino:
     try:
         return polyomino.poly_from_document(doc)
     except (ValueError, TypeError) as exc:
@@ -131,7 +134,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    x = _load_polyomino(args.polyomino)
+    x = _parse_polyomino(_read_document(args.polyomino, "polyomino document"))
     sys.stdout.write(polyomino.render_ascii(x) + "\n")
     return 0
 
@@ -139,14 +142,11 @@ def _cmd_render(args) -> int:
 def _cmd_map(args) -> int:
     doc = _read_document(args.document, "input document")
     if "strips" in doc:
-        try:
-            x = polyomino.poly_from_document(doc)
-        except (ValueError, TypeError) as exc:
-            raise InputError(f"polyomino document: {exc}") from exc
+        x = _parse_polyomino(doc)
         out = {"stacks": list(bijection.poly_to_config(x).to_multiset())}
     elif "stacks" in doc:
-        stacks = doc["stacks"]
-        if not isinstance(stacks, list) or not all(isinstance(s, int) for s in stacks) or not stacks:
+        stacks = _stacks_field(doc)
+        if not stacks:
             raise InputError("field 'stacks': expected a nonempty list of integers")
         config = bijection.CompleteConfig.from_multiset(diffusion.normalize(stacks))
         x = bijection.config_to_poly(config)
@@ -159,13 +159,35 @@ def _cmd_map(args) -> int:
     return 0 if out.get("fire_reflect", True) else 1
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    # Exact counts outgrow the interpreter's int->str digit limit (4300 digits
+    # by default); lift it only while formatting them, never while parsing input.
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _count_table(mode: str, upto: int) -> list[int]:
+    # the recurrence and the series build a(1)..a(upto) in one pass anyway
+    if mode == "recurrence":
+        return counting.recurrence_counts(upto)
+    if mode == "gf":
+        return counting.gf_coefficients(upto)
+    return [_count_one(mode, k) for k in range(1, upto + 1)]
+
+
 def _count_one(mode: str, n: int) -> int:
     if n < 1:
         raise InputError("--n must be at least 1")
-    if mode == "recurrence":
-        return counting.recurrence_counts(n)[-1]
-    if mode == "gf":
-        return counting.gf_coefficients(n)[-1]
+    if mode in ("recurrence", "gf"):
+        return _count_table(mode, n)[-1]
     if mode == "enumerate":
         return sum(1 for _ in polyomino.enumerate_board_pile(n))
     if mode == "brute":
@@ -182,27 +204,33 @@ def _cmd_count(args) -> int:
         raise InputError("give exactly one of --n or --upto")
     if args.n is not None:
         value = _count_one(args.mode, args.n)
-        _emit(json.dumps({"n": args.n, "count": str(value)}) + "\n", args.out)
+        with _unlimited_int_digits():
+            text = json.dumps({"n": args.n, "count": str(value)}) + "\n"
     else:
         if args.upto < 1:
             raise InputError("--upto must be at least 1")
-        lines = ["n,count"]
-        for k in range(1, args.upto + 1):
-            lines.append(f"{k},{_count_one(args.mode, k)}")
-        _emit("\n".join(lines) + "\n", args.out)
+        table = _count_table(args.mode, args.upto)
+        with _unlimited_int_digits():
+            text = "n,count\n" + "".join(f"{k},{v}\n" for k, v in enumerate(table, start=1))
+    _emit(text, args.out)
     return 0
 
 
-def _verify_count_agreement(n_max: int) -> tuple[bool, str]:
+# --- verify: the cross-checks, also run by the acceptance tests ---------------
+
+
+def verify_count_agreement(n_max: int) -> tuple[bool, str]:
+    """Recurrence, series and enumeration agree with the reference table for n=1..n_max."""
     rec = counting.recurrence_counts(n_max)
     gf = counting.gf_coefficients(n_max)
     enum = [sum(1 for _ in polyomino.enumerate_board_pile(k)) for k in range(1, n_max + 1)]
-    ok = rec == gf == enum and tuple(rec) == _REFERENCE_COUNTS[:n_max]
+    ok = rec == gf == enum and tuple(rec) == counting.REFERENCE_COUNTS[:n_max]
     detail = f"n=1..{n_max}: " + ", ".join(str(v) for v in rec)
     return ok, detail
 
 
-def _verify_image(n_max: int) -> tuple[bool, str]:
+def verify_image(n_max: int) -> tuple[bool, str]:
+    """The strip images equal the fire-twice scan, as sets, for n=1..n_max."""
     for n in range(1, n_max + 1):
         oracle = set(counting.brute_force_period_multisets(n))
         image = {
@@ -214,7 +242,8 @@ def _verify_image(n_max: int) -> tuple[bool, str]:
     return True, f"strip images match the fire-twice scan for n=1..{n_max}"
 
 
-def _verify_fire_reflect(cells_max: int) -> tuple[bool, str]:
+def verify_fire_reflect(cells_max: int) -> tuple[bool, str]:
+    """Firing each image equals reflecting its polyomino, up to cells_max cells."""
     checked = 0
     for n in range(1, cells_max + 1):
         for x in polyomino.enumerate_board_pile(n):
@@ -224,7 +253,8 @@ def _verify_fire_reflect(cells_max: int) -> tuple[bool, str]:
     return True, f"{checked} polyominoes with up to {cells_max} cells"
 
 
-def _verify_labelled(n_max: int) -> tuple[bool, str]:
+def verify_labelled(n_max: int) -> tuple[bool, str]:
+    """The labelled composition formula equals the labelled scan for n=1..n_max."""
     for n in range(1, n_max + 1):
         formula = counting.labelled_period_count(n)
         oracle = counting.brute_force_labelled(n)
@@ -241,10 +271,10 @@ def _cmd_verify(args) -> int:
     if not 1 <= args.max_reflect <= 11:
         raise InputError("--max-reflect must be in 1..11")
     checks = [
-        ("count-triple-agreement", lambda: _verify_count_agreement(11)),
-        ("bijection-image", lambda: _verify_image(args.max_unlabelled)),
-        ("fire-reflect", lambda: _verify_fire_reflect(args.max_reflect)),
-        ("labelled-oracle", lambda: _verify_labelled(args.max_labelled)),
+        ("count-triple-agreement", lambda: verify_count_agreement(11)),
+        ("bijection-image", lambda: verify_image(args.max_unlabelled)),
+        ("fire-reflect", lambda: verify_fire_reflect(args.max_reflect)),
+        ("labelled-oracle", lambda: verify_labelled(args.max_labelled)),
     ]
     results = {}
     for name, check in checks:

@@ -24,6 +24,9 @@ from .polyomino import compositions
 
 _SEEDS = (1, 2, 6, 19)
 
+# a(1)..a(11), the table every cross-check of the counts is held against
+REFERENCE_COUNTS = (1, 2, 6, 19, 61, 196, 629, 2017, 6466, 20727, 66441)
+
 # x^3 - 5x^2 + 7x - 4, the characteristic polynomial of the recurrence
 _CUBIC = (1, -5, 7, -4)
 
@@ -110,41 +113,20 @@ def characteristic_roots() -> CharacteristicRoots:
     return CharacteristicRoots(dominant=x, conjugate_pair=pair)
 
 
-def _solve3(matrix: list[list[complex]], rhs: list[complex]) -> list[complex]:
-    """Gaussian elimination with partial pivoting for a 3x3 complex system."""
-    m = [row[:] + [b] for row, b in zip(matrix, rhs)]
-    for col in range(3):
-        pivot = max(range(col, 3), key=lambda r: abs(m[r][col]))
-        m[col], m[pivot] = m[pivot], m[col]
-        for r in range(col + 1, 3):
-            factor = m[r][col] / m[col][col]
-            for k in range(col, 4):
-                m[r][k] -= factor * m[col][k]
-    out = [0j, 0j, 0j]
-    for r in (2, 1, 0):
-        acc = m[r][3] - sum(m[r][k] * out[k] for k in range(r + 1, 3))
-        out[r] = acc / m[r][r]
-    return out
-
-
 @functools.cache
 def recurrence_coefficients() -> tuple[complex, complex, complex]:
     """Coefficients (c1, c2, c3) with a(k) = sum of c_i * root_i^k for k >= 2.
 
-    The recurrence only governs the sequence from the fifth term on, so the
-    closed form is pinned to the window (a(2), a(3), a(4)), the earliest one
-    it propagates from; a(1) is the lone exception it does not reproduce.
-    The first coefficient belongs to the dominant root.
+    The generating function's polynomial part has degree 1, so the closed
+    form holds from the second term on; a(1) is the lone exception it does
+    not reproduce.  The first coefficient belongs to the dominant root.
     """
-    roots = characteristic_roots().all_roots()
-    matrix = [[root**k for root in roots] for k in (2, 3, 4)]
-    rhs = [complex(a) for a in _SEEDS[1:4]]
-    c = _solve3(matrix, rhs)
-    return (c[0], c[1], c[2])
+    c1, c2, c3 = (_closed_form_coefficient(root) for root in characteristic_roots().all_roots())
+    return (c1, c2, c3)
 
 
 def _closed_form_coefficient(root: complex) -> complex:
-    # cross-check expression for the coefficient attached to one root
+    # partial fractions of the GF N/Q: pole x = 1/r gives -r*N(1/r)/Q'(1/r), reduced by Q(1/r) = 0
     inv = 1 / root
     numerator = -(-7 * inv * inv + 13 * inv - 5)
     denominator = (192 * inv * inv - 224 * inv + 80) * inv
@@ -167,16 +149,6 @@ def asymptotic_estimate(k: int) -> float:
 
 
 # --- labelled counting -----------------------------------------------------
-
-
-def ordered_bell(n: int) -> int:
-    """Number of ordered set partitions of an n-set."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    counts = [1]
-    for m in range(1, n + 1):
-        counts.append(sum(math.comb(m, k) * counts[m - k] for k in range(1, m + 1)))
-    return counts[n]
 
 
 def multinomial(n: int, parts: tuple[int, ...]) -> int:

@@ -9,7 +9,6 @@ eventually settles into a cycle of length 1 or 2.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -90,19 +89,20 @@ def _fire_sorted_raw(values: Config) -> Config:
     return tuple(out)
 
 
+def _config_on(g: Graph, stacks: Sequence[int]) -> Config:
+    c = tuple(int(s) for s in stacks)
+    if len(c) != g.n:
+        raise ValueError(f"configuration has {len(c)} stacks for a graph on {g.n} vertices")
+    return c
+
+
 def fire(g: Graph, stacks: Sequence[int]) -> Config:
     """Apply one synchronous firing step to a configuration on g.
 
     Every vertex gains one chip per strictly richer neighbour and loses one
     per strictly poorer neighbour.  The total number of chips is conserved.
     """
-    c = tuple(int(s) for s in stacks)
-    if len(c) != g.n:
-        raise ValueError(f"configuration has {len(c)} stacks for a graph on {g.n} vertices")
-    result = _fire_raw(g, c)
-    if _audit is not None:
-        _audit.check_fire(g, c, result)
-    return result
+    return _fire_raw(g, _config_on(g, stacks))
 
 
 def fire_complete(multiset: Iterable[int]) -> Config:
@@ -114,10 +114,7 @@ def fire_complete(multiset: Iterable[int]) -> Config:
     values = tuple(sorted(int(v) for v in multiset))
     if not values:
         raise ValueError("empty multiset")
-    result = _fire_sorted_raw(values)
-    if _audit is not None:
-        _audit.check_fire_complete(values, result)
-    return result
+    return _fire_sorted_raw(values)
 
 
 def orientation_of(g: Graph, stacks: Sequence[int]) -> Orientation:
@@ -126,9 +123,7 @@ def orientation_of(g: Graph, stacks: Sequence[int]) -> Orientation:
     Edges between equal stacks are left flat.  Chips flow along exactly the
     arcs of this orientation, one chip per arc.
     """
-    c = tuple(int(s) for s in stacks)
-    if len(c) != g.n:
-        raise ValueError(f"configuration has {len(c)} stacks for a graph on {g.n} vertices")
+    c = _config_on(g, stacks)
     arcs: set[tuple[int, int]] = set()
     flat: set[tuple[int, int]] = set()
     for u, v in g.edges:
@@ -145,9 +140,7 @@ def run(g: Graph, start: Sequence[int], steps: int) -> list[Config]:
     """Trajectory [C_0, C_1, ..., C_steps] from the given start."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    current = tuple(int(s) for s in start)
-    if len(current) != g.n:
-        raise ValueError(f"configuration has {len(current)} stacks for a graph on {g.n} vertices")
+    current = _config_on(g, start)
     trajectory = [current]
     for _ in range(steps):
         current = fire(g, current)
@@ -166,9 +159,7 @@ def detect_period(g: Graph, start: Sequence[int], max_steps: int = DEFAULT_MAX_S
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    current = tuple(int(s) for s in start)
-    if len(current) != g.n:
-        raise ValueError(f"configuration has {len(current)} stacks for a graph on {g.n} vertices")
+    current = _config_on(g, start)
     first_seen = {current: 0}
     trajectory = [current]
     for t in range(1, max_steps + 1):
@@ -215,64 +206,3 @@ def is_period_config(g: Graph, stacks: Sequence[int]) -> bool:
     c = tuple(int(s) for s in stacks)
     return fire(g, fire(g, c)) == c
 
-
-# --- firing audit ----------------------------------------------------------
-#
-# Test harnesses can enable a global audit that re-checks two structural
-# facts on every fire()/fire_complete() call: chip conservation, and
-# invariance of the step under adding a constant to every stack.  A
-# violation raises immediately and is also tallied.
-
-
-class FireAudit:
-    __slots__ = ("calls", "violations", "_rng")
-
-    def __init__(self, seed: int = 0x0D1FF):
-        self.calls = 0
-        self.violations = 0
-        self._rng = random.Random(seed)
-
-    def check_fire(self, g: Graph, stacks: Config, result: Config) -> None:
-        self.calls += 1
-        if sum(result) != sum(stacks):
-            self.violations += 1
-            raise AssertionError(
-                f"chip conservation violated: {sum(stacks)} chips in, {sum(result)} out"
-            )
-        k = self._rng.randint(-5, 5)
-        shifted = _fire_raw(g, tuple(s + k for s in stacks))
-        if shifted != tuple(r + k for r in result):
-            self.violations += 1
-            raise AssertionError(f"shift equivariance violated for offset {k}")
-
-    def check_fire_complete(self, values: Config, result: Config) -> None:
-        self.calls += 1
-        if sum(result) != sum(values):
-            self.violations += 1
-            raise AssertionError(
-                f"chip conservation violated: {sum(values)} chips in, {sum(result)} out"
-            )
-        k = self._rng.randint(-5, 5)
-        shifted = _fire_sorted_raw(tuple(v + k for v in values))
-        if shifted != tuple(r + k for r in result):
-            self.violations += 1
-            raise AssertionError(f"shift equivariance violated for offset {k}")
-
-
-_audit: FireAudit | None = None
-
-
-def enable_fire_audit() -> FireAudit:
-    global _audit
-    if _audit is None:
-        _audit = FireAudit()
-    return _audit
-
-
-def get_fire_audit() -> FireAudit | None:
-    return _audit
-
-
-def disable_fire_audit() -> None:
-    global _audit
-    _audit = None

@@ -1,16 +1,63 @@
+import random
+
+import pytest
+
 import boardpile.diffusion as diffusion
+
+# The raw firing steps behind fire() and fire_complete(); the audit wraps them
+# in place, so every firing step the suite takes goes through it.
+_AUDITED_STEPS = ("_fire_raw", "_fire_sorted_raw")
+
+
+class FireAudit:
+    """Re-checks two structural facts on every firing step: chip conservation,
+    and invariance of the step under adding a constant to every stack.  A
+    violation raises immediately and is also tallied."""
+
+    def __init__(self, seed: int = 0x0D1FF):
+        self.calls = 0
+        self.violations = 0
+        self._rng = random.Random(seed)
+
+    def wrap(self, step):
+        """Audited version of step(*args, stacks), which fires `stacks`."""
+
+        def audited(*args):
+            *context, stacks = args
+            result = step(*args)
+            self.calls += 1
+            if sum(result) != sum(stacks):
+                self.violations += 1
+                raise AssertionError(
+                    f"chip conservation violated: {sum(stacks)} chips in, {sum(result)} out"
+                )
+            k = self._rng.randint(-5, 5)
+            if step(*context, tuple(s + k for s in stacks)) != tuple(r + k for r in result):
+                self.violations += 1
+                raise AssertionError(f"shift equivariance violated for offset {k}")
+            return result
+
+        return audited
+
+
+_audit = FireAudit()
+_originals = {name: getattr(diffusion, name) for name in _AUDITED_STEPS}
 
 
 def pytest_sessionstart(session):
-    # Every fire call in the whole suite gets re-checked for chip
-    # conservation and shift equivariance; a violation raises on the spot.
-    diffusion.enable_fire_audit()
+    for name, step in _originals.items():
+        setattr(diffusion, name, _audit.wrap(step))
 
 
 def pytest_sessionfinish(session, exitstatus):
-    audit = diffusion.get_fire_audit()
-    if audit is not None:
-        print(f"\nfire audit: {audit.calls} calls checked, {audit.violations} violations")
-        if audit.violations:
-            session.exitstatus = 1
-        diffusion.disable_fire_audit()
+    for name, step in _originals.items():
+        setattr(diffusion, name, step)
+    print(f"\nfire audit: {_audit.calls} calls checked, {_audit.violations} violations")
+    if _audit.violations:
+        session.exitstatus = 1
+
+
+@pytest.fixture
+def fire_audit():
+    """The session-wide audit."""
+    return _audit

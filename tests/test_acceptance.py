@@ -1,7 +1,8 @@
 """Acceptance suite: every release-gating check at its stated tolerance.
 
-Each test prints one PASS/FAIL line.  The audit check at the bottom relies
-on the session-wide firing audit enabled in conftest, so this module is
+Each test prints one PASS/FAIL line.  Criteria 1, 2, 3 and 6 run the same
+check functions as `boardpile verify`.  The audit check at the bottom relies
+on the session-wide firing audit installed in conftest, so this module is
 meaningful both alone and as part of the full run.
 """
 
@@ -9,28 +10,21 @@ import random
 import time
 from contextlib import contextmanager
 
-import boardpile.diffusion as diffusion
-from boardpile.bijection import (
-    CompleteConfig,
-    check_fire_reflect,
-    config_to_poly,
-    poly_to_config,
-)
+import pytest
+
+from boardpile import cli
+from boardpile.bijection import CompleteConfig, config_to_poly, poly_to_config
 from boardpile.counting import (
     asymptotic_constant,
     asymptotic_estimate,
     brute_force_labelled,
     brute_force_period_multisets,
     characteristic_roots,
-    gf_coefficients,
-    labelled_period_count,
     recurrence_counts,
 )
 from boardpile.diffusion import detect_period, fire
 from boardpile.graphs import Graph, path
 from boardpile.polyomino import enumerate_board_pile
-
-FIRST_ELEVEN = (1, 2, 6, 19, 61, 196, 629, 2017, 6466, 20727, 66441)
 
 
 @contextmanager
@@ -46,33 +40,24 @@ def criterion(number, description):
 def test_criterion_1_count_table_three_ways():
     with criterion(1, "recurrence, series, and enumeration all give the first eleven counts"):
         started = time.monotonic()
-        assert recurrence_counts(11) == list(FIRST_ELEVEN)
-        assert gf_coefficients(11) == list(FIRST_ELEVEN)
-        enumerated = [sum(1 for _ in enumerate_board_pile(n)) for n in range(1, 12)]
-        assert enumerated == list(FIRST_ELEVEN)
+        ok, detail = cli.verify_count_agreement(11)
+        assert ok, detail
         assert time.monotonic() - started < 10.0
 
 
 def test_criterion_2_image_equals_periodic_multisets():
     with criterion(2, "strip images equal the fire-twice scan for n <= 7, as sets"):
         started = time.monotonic()
-        for n in range(1, 8):
-            oracle = set(brute_force_period_multisets(n))
-            image = {
-                poly_to_config(x).to_multiset() for x in enumerate_board_pile(n)
-            }
-            assert image == oracle, f"image mismatch at n={n}"
+        ok, detail = cli.verify_image(7)
+        assert ok, detail
         assert time.monotonic() - started < 120.0
 
 
 def test_criterion_3_firing_matches_reflection():
     with criterion(3, "firing the image equals reflecting the polyomino, <= 9 cells"):
-        cases = 0
-        for n in range(1, 10):
-            for x in enumerate_board_pile(n):
-                assert check_fire_reflect(x), f"failed for {x.strips}"
-                cases += 1
-        assert cases > 6000
+        ok, detail = cli.verify_fire_reflect(9)
+        assert ok, detail
+        assert detail == "9397 polyominoes with up to 9 cells"
 
 
 def test_criterion_4_round_trips():
@@ -108,8 +93,8 @@ def test_criterion_6_labelled_formula_matches_scan():
         started = time.monotonic()
         assert brute_force_labelled(2) == 3
         assert brute_force_labelled(3) == 19
-        for n in range(1, 6):
-            assert labelled_period_count(n) == brute_force_labelled(n), f"n={n}"
+        ok, detail = cli.verify_labelled(5)
+        assert ok, detail
         assert time.monotonic() - started < 120.0
 
 
@@ -123,9 +108,15 @@ def test_criterion_7_asymptotics():
             assert rel < 0.01, f"n={n}: relative error {rel}"
 
 
-def test_criterion_8_firing_audit_clean():
+def test_criterion_8_firing_audit_clean(fire_audit):
     with criterion(8, "conservation and shift equivariance held on every audited fire"):
-        audit = diffusion.get_fire_audit()
-        assert audit is not None, "firing audit was not enabled"
-        assert audit.calls > 0
-        assert audit.violations == 0
+        assert fire_audit.calls > 0
+        assert fire_audit.violations == 0
+
+
+def test_fire_audit_raises_on_step_that_loses_a_chip(fire_audit):
+    audit = type(fire_audit)()  # a fresh audit, so the session tally stays clean
+    leaky = audit.wrap(lambda values: values[:-1] + (values[-1] - 1,))
+    with pytest.raises(AssertionError, match="chip conservation violated: 3 chips in, 2 out"):
+        leaky((0, 1, 2))
+    assert (audit.calls, audit.violations) == (1, 1)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -75,6 +76,14 @@ def test_simulate_stack_count_mismatch(tmp_path, capsys):
     code, _, err = invoke(["simulate", g, c, "--steps", "1"], capsys)
     assert code == 2
     assert "stacks" in err
+
+
+def test_simulate_rejects_boolean_stacks(tmp_path, capsys):
+    g = write_doc(tmp_path, "g.json", {"family": "path", "n": 3})
+    c = write_doc(tmp_path, "c.json", {"stacks": [True, False, True]})
+    code, _, err = invoke(["simulate", g, c, "--steps", "1"], capsys)
+    assert code == 2
+    assert "field 'stacks'" in err
 
 
 def test_simulate_malformed_json(tmp_path, capsys):
@@ -220,6 +229,13 @@ def test_map_rejects_transient_stacks(tmp_path, capsys):
     assert "cycle" in err
 
 
+def test_map_rejects_boolean_stacks(tmp_path, capsys):
+    p = write_doc(tmp_path, "c.json", {"stacks": [True, False, True]})
+    code, _, err = invoke(["map", p], capsys)
+    assert code == 2
+    assert "field 'stacks'" in err
+
+
 def test_map_needs_strips_or_stacks(tmp_path, capsys):
     p = write_doc(tmp_path, "c.json", {"cells": [1, 2]})
     code, _, err = invoke(["map", p], capsys)
@@ -259,6 +275,29 @@ def test_count_range_csv(capsys):
     assert out == "n,count\n1,1\n2,2\n3,6\n4,19\n5,61\n"
 
 
+def test_count_range_builds_one_table(monkeypatch, capsys):
+    calls = []
+    real = counting.recurrence_counts
+    monkeypatch.setattr(counting, "recurrence_counts", lambda n: calls.append(n) or real(n))
+    code, out, _ = invoke(["count", "--mode", "recurrence", "--upto", "30"], capsys)
+    assert code == 0
+    assert calls == [30]
+    assert out.splitlines()[-1] == f"30,{real(30)[-1]}"
+
+
+def test_count_beyond_int_digit_limit(capsys):
+    # a(20000) has 10,118 digits, more than the default int->str limit of 4300
+    limit = sys.get_int_max_str_digits()
+    outputs = []
+    for mode in ("recurrence", "gf"):
+        code, out, err = invoke(["count", "--mode", mode, "--n", "20000"], capsys)
+        assert code == 0, err
+        outputs.append(out)
+        assert sys.get_int_max_str_digits() == limit
+    assert outputs[0] == outputs[1]
+    assert len(json.loads(outputs[0])["count"]) == 10118
+
+
 def test_count_needs_exactly_one_target(capsys):
     code, _, err = invoke(["count", "--mode", "gf"], capsys)
     assert code == 2
@@ -291,7 +330,7 @@ def test_verify_small_scale_passes(capsys):
         "fire-reflect",
         "labelled-oracle",
     }
-    assert "1, 2, 6, 19, 61, 196, 629, 2017, 6466, 20727, 66441" in out
+    assert ", ".join(str(v) for v in counting.REFERENCE_COUNTS) in out
 
 
 def test_verify_trivial_caps_pass(capsys):
