@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .diffusion import fire, fire_complete, is_period_config
+from .diffusion import fire, fire_complete
 from .graphs import complete
 from .polyomino import compositions
 

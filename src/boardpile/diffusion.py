@@ -151,33 +151,31 @@ def run(g: Graph, start: Sequence[int], steps: int) -> list[Config]:
 def detect_period(g: Graph, start: Sequence[int], max_steps: int = DEFAULT_MAX_STEPS) -> PeriodReport:
     """Find the eventual cycle of the trajectory from `start`.
 
-    Fires until a configuration repeats exactly.  The first repeat of a
-    deterministic map pins down both the least preperiod and the least
-    period, so the report is exact.  Raises NoRepeatWithinBudget if nothing
-    repeats within max_steps firings, and PeriodNotOneOrTwo if the repeat
-    implies a cycle length other than 1 or 2.
+    Cycles have length 1 or 2, so the least preperiod is the first t with
+    C_{t+1} = C_t (period 1) or else C_{t+2} = C_t (period 2); only the last
+    two configurations are held, O(n) memory.  Raises NoRepeatWithinBudget
+    if nothing repeats within max_steps firings.  A checkpoint moved at steps
+    1, 2, 4, 8, ... (Brent's cycle finder) guards against a broken engine: it
+    catches any longer cycle and raises PeriodNotOneOrTwo with its length.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    current = _config_on(g, start)
-    first_seen = {current: 0}
-    trajectory = [current]
+    before, previous = None, _config_on(g, start)
+    checkpoint, checkpoint_t = previous, 0
     for t in range(1, max_steps + 1):
-        current = fire(g, current)
-        seen_at = first_seen.get(current)
-        if seen_at is not None:
-            p = t - seen_at
-            if p not in (1, 2):
-                raise PeriodNotOneOrTwo(
-                    f"configuration repeated with cycle length {p}; the firing rule admits only 1 or 2"
-                )
-            return PeriodReport(
-                preperiod=seen_at,
-                period=p,
-                period_configs=tuple(trajectory[seen_at : seen_at + p]),
+        current = fire(g, previous)
+        if current == previous:
+            return PeriodReport(preperiod=t - 1, period=1, period_configs=(current,))
+        if current == before:
+            return PeriodReport(preperiod=t - 2, period=2, period_configs=(before, previous))
+        if current == checkpoint:
+            raise PeriodNotOneOrTwo(
+                f"configuration repeated with cycle length {t - checkpoint_t}; "
+                "the firing rule admits only 1 or 2"
             )
-        first_seen[current] = t
-        trajectory.append(current)
+        if t & (t - 1) == 0:
+            checkpoint, checkpoint_t = current, t
+        before, previous = previous, current
     raise NoRepeatWithinBudget(f"no repeated configuration within {max_steps} steps")
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
@@ -15,7 +16,7 @@ class Graph:
     lists are precomputed and sorted so iteration order is deterministic.
     """
 
-    __slots__ = ("n", "edges", "neighbors", "_edge_set")
+    __slots__ = ("n", "edges", "neighbors")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         if n < 0:
@@ -45,12 +46,13 @@ class Graph:
         self.n = n
         self.edges = tuple(canonical)
         self.neighbors = tuple(tuple(sorted(ns)) for ns in nbrs)
-        self._edge_set = seen
 
     def adjacent(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"vertex pair ({u}, {v}) out of range for {self.n} vertices")
-        return (min(u, v), max(u, v)) in self._edge_set
+        ns = self.neighbors[u]
+        i = bisect_left(ns, v)
+        return i < len(ns) and ns[i] == v
 
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
@@ -116,22 +118,26 @@ def graph_from_document(doc: dict) -> Graph:
     """
     if not isinstance(doc, dict):
         raise ValueError("graph document must be a JSON object")
+    if "n" not in doc:
+        raise ValueError("graph document missing field 'n'")
+    n = doc["n"]
+    # bool is a subclass of int, and neither true nor 2.9 nor "3" is a vertex count
+    if type(n) is not int:
+        raise ValueError("field 'n': expected an integer")
     if "family" in doc:
         family = doc["family"]
         builder = _FAMILIES.get(family)
         if builder is None:
             known = ", ".join(sorted(_FAMILIES))
             raise ValueError(f"field 'family': unknown value {family!r} (expected one of {known})")
-        if "n" not in doc:
-            raise ValueError("graph document missing field 'n'")
-        return builder(int(doc["n"]))
-    if "n" not in doc:
-        raise ValueError("graph document missing field 'n'")
+        return builder(n)
     if "edges" not in doc:
         raise ValueError("graph document missing field 'edges'")
     edges = doc["edges"]
     if not isinstance(edges, list) or any(
-        not isinstance(e, (list, tuple)) or len(e) != 2 for e in edges
+        not isinstance(e, (list, tuple)) or len(e) != 2
+        or type(e[0]) is not int or type(e[1]) is not int
+        for e in edges
     ):
-        raise ValueError("field 'edges': expected a list of [u, v] pairs")
-    return Graph(int(doc["n"]), edges)
+        raise ValueError("field 'edges': expected a list of [u, v] integer pairs")
+    return Graph(n, edges)

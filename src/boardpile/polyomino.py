@@ -128,18 +128,15 @@ def layout(x: BoardPilePolyomino) -> tuple[tuple[int, int], ...]:
     )
 
 
-def _strips_from_layout(placed: Sequence[tuple[int, int]]) -> tuple[Strip, ...]:
-    strips = [(0, placed[0][1])]
-    for i in range(1, len(placed)):
-        start, length = placed[i]
-        strips.append((start + length - placed[i - 1][0], length))
-    return tuple(strips)
-
-
 def reflect(x: BoardPilePolyomino) -> BoardPilePolyomino:
     """Mirror about the horizontal axis: row order reverses, columns stay."""
-    placed = layout(x)
-    return BoardPilePolyomino(_strips_from_layout(placed[::-1]))
+    strips = x.strips
+    # strip k moves above strip k+1; the offsets of two stacked strips,
+    # measured from below and from above, sum to l_k + l_{k+1}
+    mirrored = [(0, strips[-1][1])]
+    for k in range(len(strips) - 2, -1, -1):
+        mirrored.append((strips[k][1] + strips[k + 1][1] - strips[k + 1][0], strips[k][1]))
+    return BoardPilePolyomino(tuple(mirrored))
 
 
 def render_ascii(x: BoardPilePolyomino) -> str:
@@ -157,8 +154,11 @@ def poly_from_document(doc: dict) -> BoardPilePolyomino:
     if not isinstance(doc, dict) or "strips" not in doc:
         raise ValueError("polyomino document missing field 'strips'")
     strips = doc["strips"]
+    # bool is a subclass of int, but true/false are not offsets or lengths
     if not isinstance(strips, list) or any(
-        not isinstance(s, (list, tuple)) or len(s) != 2 for s in strips
+        not isinstance(s, (list, tuple)) or len(s) != 2
+        or type(s[0]) is not int or type(s[1]) is not int
+        for s in strips
     ):
-        raise ValueError("field 'strips': expected a list of [offset, length] pairs")
+        raise ValueError("field 'strips': expected a list of [offset, length] integer pairs")
     return validate(strips)

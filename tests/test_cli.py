@@ -243,6 +243,39 @@ def test_map_needs_strips_or_stacks(tmp_path, capsys):
     assert "strips" in err and "stacks" in err
 
 
+def test_map_rejects_integer_past_digit_limit(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    p.write_text('{"stacks": [' + "9" * 5000 + "]}", encoding="utf-8")
+    code, _, err = invoke(["map", str(p)], capsys)
+    assert code == 2
+    assert "invalid JSON" in err
+
+
+def test_map_rejects_nesting_past_recursion_limit(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    p.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    code, _, err = invoke(["map", str(p)], capsys)
+    assert code == 2
+    assert "invalid JSON" in err
+
+
+@pytest.mark.parametrize(
+    "command, docs, field",
+    [
+        ("simulate", [{"family": "path", "n": "3"}, {"stacks": [0, 1, 0]}], "field 'n'"),
+        ("simulate", [{"family": "path", "n": 2.9}, {"stacks": [0, 1]}], "field 'n'"),
+        ("simulate", [{"n": 2, "edges": [[0, True]]}, {"stacks": [0, 1]}], "field 'edges'"),
+        ("render", [{"strips": [[0, True], [1, 1]]}], "field 'strips'"),
+    ],
+)
+def test_documents_require_exact_integers(tmp_path, capsys, command, docs, field):
+    paths = [write_doc(tmp_path, f"doc{i}.json", doc) for i, doc in enumerate(docs)]
+    steps = ["--steps", "1"] if command == "simulate" else []
+    code, _, err = invoke([command, *paths, *steps], capsys)
+    assert code == 2
+    assert field in err
+
+
 # --- count --------------------------------------------------------------------------
 
 

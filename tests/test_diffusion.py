@@ -1,12 +1,15 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import boardpile.diffusion as diffusion
 from boardpile.diffusion import (
+    DEFAULT_MAX_STEPS,
     NoRepeatWithinBudget,
     PeriodNotOneOrTwo,
+    PeriodReport,
     detect_period,
     equivalent,
     fire,
@@ -201,6 +204,69 @@ def test_detect_period_surfaces_longer_cycles(monkeypatch):
 def test_detect_period_rejects_bad_budget():
     with pytest.raises(ValueError):
         detect_period(P5, P5_START, max_steps=0)
+
+
+def reference_detect_period(g, start, max_steps=DEFAULT_MAX_STEPS):
+    """Generic cycle finder: remember every configuration until one repeats.
+
+    The first repeat of a deterministic map pins down both the least
+    preperiod and the least period; nothing here relies on cycles having
+    length 1 or 2.
+    """
+    current = tuple(start)
+    first_seen = {current: 0}
+    trajectory = [current]
+    for t in range(1, max_steps + 1):
+        current = fire(g, current)
+        seen_at = first_seen.get(current)
+        if seen_at is not None:
+            p = t - seen_at
+            if p not in (1, 2):
+                raise PeriodNotOneOrTwo(f"cycle length {p}")
+            return PeriodReport(seen_at, p, tuple(trajectory[seen_at : seen_at + p]))
+        first_seen[current] = t
+        trajectory.append(current)
+    raise NoRepeatWithinBudget(f"no repeated configuration within {max_steps} steps")
+
+
+def period_outcome(finder, g, stacks, max_steps):
+    try:
+        return finder(g, stacks, max_steps)
+    except (NoRepeatWithinBudget, PeriodNotOneOrTwo) as exc:
+        return type(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(graph_and_stacks(), st.integers(1, 12))
+def test_detect_period_matches_reference_finder(gs, max_steps):
+    g, stacks = gs
+    assert period_outcome(detect_period, g, stacks, max_steps) == period_outcome(
+        reference_detect_period, g, stacks, max_steps
+    )
+
+
+def test_detect_period_reports_exact_length_of_longer_cycle(monkeypatch):
+    # 0 -> 1 -> 2 -> 3 -> ... -> 7 -> 3: a 3-step tail into a 5-cycle
+    monkeypatch.setattr(diffusion, "fire", lambda g, c: (c[0] + 1 if c[0] < 7 else 3,))
+    with pytest.raises(PeriodNotOneOrTwo, match="cycle length 5"):
+        detect_period(Graph(1), (0,))
+
+
+def test_detect_period_memory_does_not_grow_with_preperiod():
+    # seed 0 gives a G(120, 0.9) start with preperiod 256; keeping the
+    # trajectory would hold about 700 KB of configurations
+    rng = random.Random(0)
+    n = 120
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.9])
+    stacks = tuple(rng.randint(-5, 5) for _ in range(n))
+    tracemalloc.start()
+    try:
+        report = detect_period(g, stacks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.preperiod >= 250
+    assert peak < 64 * 1024
 
 
 # --- normalize / equivalent ------------------------------------------------

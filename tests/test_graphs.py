@@ -80,6 +80,9 @@ def test_adjacency_is_symmetric():
             for v in range(g.n):
                 if u != v:
                     assert g.adjacent(u, v) == g.adjacent(v, u)
+                    assert g.adjacent(u, v) == ((min(u, v), max(u, v)) in g.edges)
+        with pytest.raises(ValueError, match="out of range"):
+            g.adjacent(0, g.n)
 
 
 def test_neighbor_lists_sorted_and_consistent():
