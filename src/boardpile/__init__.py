@@ -24,6 +24,7 @@ from .counting import (
     characteristic_roots,
     gf_coefficients,
     labelled_period_count,
+    labelled_period_counts,
     recurrence_counts,
 )
 from .diffusion import (
@@ -84,6 +85,7 @@ __all__ = [
     "gf_coefficients",
     "is_period_config",
     "labelled_period_count",
+    "labelled_period_counts",
     "layout",
     "normalize",
     "orientation_of",

@@ -178,11 +178,13 @@ def _unlimited_int_digits():
 
 
 def _count_table(mode: str, upto: int) -> list[int]:
-    # the recurrence and the series build a(1)..a(upto) in one pass anyway
+    # the recurrence, the series and the transfer matrix each build a whole table anyway
     if mode == "recurrence":
         return counting.recurrence_counts(upto)
     if mode == "gf":
         return counting.gf_coefficients(upto)
+    if mode == "labelled":
+        return counting.labelled_period_counts(upto)
     return [_count_one(mode, k) for k in range(1, upto + 1)]
 
 
@@ -257,13 +259,13 @@ def verify_fire_reflect(cells_max: int) -> tuple[bool, str]:
 
 
 def verify_labelled(n_max: int) -> tuple[bool, str]:
-    """The labelled composition formula equals the labelled scan for n=1..n_max."""
+    """The labelled transfer-matrix count equals the labelled scan for n=1..n_max."""
     for n in range(1, n_max + 1):
         formula = counting.labelled_period_count(n)
         oracle = counting.brute_force_labelled(n)
         if formula != oracle:
             return False, f"n={n}: formula {formula} vs scan {oracle}"
-    return True, f"composition formula matches the labelled scan for n=1..{n_max}"
+    return True, f"transfer-matrix count matches the labelled scan for n=1..{n_max}"
 
 
 def _cmd_verify(args) -> int:

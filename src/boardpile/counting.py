@@ -4,8 +4,8 @@ The number of distinct periodic multisets on n vertices satisfies
 a(n) = 5a(n-1) - 7a(n-2) + 4a(n-3) with a(1..4) = 1, 2, 6, 19, has ordinary
 generating function x(1-x)^3 / (1 - 5x + 7x^2 - 4x^3), and grows like
 C * r^n where r ~ 3.2056 is the one real root of x^3 - 5x^2 + 7x - 4.
-Labelled counts come from a composition sum weighted by strip adjacency
-choices.  Everything integral is computed in exact big-integer arithmetic;
+Labelled counts come from a transfer-matrix count over the size of the top
+block.  Everything integral is computed in exact big-integer arithmetic;
 floats appear only on the asymptotic side.  Brute-force scans over small
 complete graphs act as independent oracles for both counts.
 """
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .diffusion import fire, fire_complete
 from .graphs import complete
-from .polyomino import compositions
 
 _SEEDS = (1, 2, 6, 19)
 
@@ -151,35 +150,45 @@ def asymptotic_estimate(k: int) -> float:
 # --- labelled counting -----------------------------------------------------
 
 
-def multinomial(n: int, parts: tuple[int, ...]) -> int:
-    """Ways to split n labelled items into ordered blocks of the given sizes."""
-    if sum(parts) != n:
-        raise ValueError(f"parts {parts} do not sum to {n}")
-    out = 1
-    remaining = n
-    for p in parts:
-        out *= math.comb(remaining, p)
-        remaining -= p
-    return out
+def labelled_period_counts(n_max: int) -> list[int]:
+    """Periodic stack assignments on n labelled vertices, min 0, for n=1..n_max.
+
+    A transfer-matrix count over the size of the top block.  Let h[m][s] count
+    the states on m vertices whose top block (the vertices on the highest
+    level) has s of them.  A lone block gives h[m][m] = 1; otherwise the top
+    block sits on a state of the other r = m - s vertices with some top block
+    of t vertices, with t + s - 1 admissible gaps between the two and C(m, s)
+    ways to choose the top block's vertices:
+
+        h[m][s] = C(m, s) * sum_t h[r][t] * (t + s - 1)
+                = C(m, s) * (B[r] + s * A[r]),
+
+    where A[r] = sum_t h[r][t] is the count for r vertices and
+    B[r] = sum_t (t - 1) * h[r][t].  Only A and B are kept, so the table costs
+    O(n_max^2) exact big-integer operations.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    # totals[r] is A[r] and weighted[r] is B[r].  r = 0 stands for the empty
+    # state below a lone block: A[0] = 0 and B[0] = 1 give h[m][m] = 1.
+    totals = [0] * (n_max + 1)
+    weighted = [1] + [0] * n_max
+    for m in range(1, n_max + 1):
+        for s in range(1, m + 1):
+            h = math.comb(m, s) * (weighted[m - s] + s * totals[m - s])
+            totals[m] += h
+            weighted[m] += (s - 1) * h
+    return totals[1:]
 
 
 def labelled_period_count(n: int) -> int:
     """Number of periodic stack assignments on n labelled vertices, min 0.
 
-    Sums over compositions (s_1..s_N) of n: the multinomial count of ways to
-    assign vertices to the blocks, times the number of admissible gap choices
-    prod_{i>=2} (s_{i-1} + s_i - 1).  The bottom block has no gap to choose,
-    so it contributes a factor of 1.
+    The last entry of the transfer-matrix count `labelled_period_counts(n)`.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    total = 0
-    for parts in compositions(n):
-        ways = multinomial(n, parts)
-        for i in range(1, len(parts)):
-            ways *= parts[i - 1] + parts[i] - 1
-        total += ways
-    return total
+    return labelled_period_counts(n)[-1]
 
 
 # --- brute-force oracles ---------------------------------------------------

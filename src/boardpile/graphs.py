@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import pairwise
 from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
@@ -22,7 +23,6 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         canonical: list[Edge] = []
-        seen: set[Edge] = set()
         for pair in edges:
             u, v = int(pair[0]), int(pair[1])
             for endpoint in (u, v):
@@ -34,18 +34,21 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             if u > v:
                 u, v = v, u
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
             canonical.append((u, v))
         canonical.sort()
+        # once sorted, copies of an edge sit side by side
+        for edge, following in pairwise(canonical):
+            if edge == following:
+                raise ValueError(f"duplicate edge {edge}")
+        # The sorted edges give each vertex x its neighbours in ascending order
+        # without a sort per list: first every (u, x) by u, then every (x, v) by v.
         nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in canonical:
             nbrs[u].append(v)
             nbrs[v].append(u)
         self.n = n
         self.edges = tuple(canonical)
-        self.neighbors = tuple(tuple(sorted(ns)) for ns in nbrs)
+        self.neighbors = tuple(map(tuple, nbrs))
 
     def adjacent(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):

@@ -89,7 +89,7 @@ def test_criterion_5_period_length_randomized():
 
 
 def test_criterion_6_labelled_formula_matches_scan():
-    with criterion(6, "labelled composition formula equals the labelled scan, n <= 5"):
+    with criterion(6, "labelled transfer-matrix count equals the labelled scan, n <= 5"):
         started = time.monotonic()
         assert brute_force_labelled(2) == 3
         assert brute_force_labelled(3) == 19

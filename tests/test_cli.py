@@ -318,6 +318,30 @@ def test_count_range_builds_one_table(monkeypatch, capsys):
     assert out.splitlines()[-1] == f"30,{real(30)[-1]}"
 
 
+def test_count_labelled_table_rows_equal_single_counts(monkeypatch, capsys):
+    calls = []
+    real = counting.labelled_period_counts
+    monkeypatch.setattr(counting, "labelled_period_counts", lambda n: calls.append(n) or real(n))
+    code, table, _ = invoke(["count", "--mode", "labelled", "--upto", "20"], capsys)
+    assert code == 0
+    assert calls == [20]
+    rows = table.splitlines()
+    assert rows[0] == "n,count" and len(rows) == 21
+    for k, row in enumerate(rows[1:], start=1):
+        code, out, _ = invoke(["count", "--mode", "labelled", "--n", str(k)], capsys)
+        assert code == 0
+        assert row == f"{k},{json.loads(out)['count']}"
+
+
+def test_count_labelled_large_n(capsys):
+    # n = 120 has 2^119 compositions: only a polynomial-cost count finishes
+    code, out, err = invoke(["count", "--mode", "labelled", "--n", "120"], capsys)
+    assert code == 0, err
+    count = json.loads(out)["count"]
+    assert len(count) >= 200
+    assert int(count) == counting.labelled_period_count(120)
+
+
 def test_count_beyond_int_digit_limit(capsys):
     # a(20000) has 10,118 digits, more than the default int->str limit of 4300
     limit = sys.get_int_max_str_digits()

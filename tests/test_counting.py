@@ -16,13 +16,41 @@ from boardpile.counting import (
     characteristic_roots,
     gf_coefficients,
     labelled_period_count,
-    multinomial,
+    labelled_period_counts,
     recurrence_counts,
 )
 from boardpile.polyomino import compositions
 
 
-# --- oracles: ordered set partitions, by recurrence and by direct construction
+# --- oracles: ordered set partitions and the labelled composition sum --------
+
+
+def multinomial(n, parts):
+    """Ways to split n labelled items into ordered blocks of the given sizes."""
+    if sum(parts) != n:
+        raise ValueError(f"parts {parts} do not sum to {n}")
+    out = 1
+    remaining = n
+    for p in parts:
+        out *= math.comb(remaining, p)
+        remaining -= p
+    return out
+
+
+def reference_labelled_count(n):
+    """The labelled count as a sum over all 2^(n-1) compositions (s_1..s_N) of n.
+
+    Each composition contributes the multinomial count of ways to assign
+    vertices to the blocks, times the number of admissible gap choices
+    prod_{i>=2} (s_{i-1} + s_i - 1); the bottom block has no gap to choose.
+    """
+    total = 0
+    for parts in compositions(n):
+        ways = multinomial(n, parts)
+        for i in range(1, len(parts)):
+            ways *= parts[i - 1] + parts[i] - 1
+        total += ways
+    return total
 
 
 def ordered_bell(n):
@@ -168,6 +196,31 @@ def test_labelled_count_small_values():
     assert labelled_period_count(2) == 3
     assert labelled_period_count(3) == 19
     assert labelled_period_count(4) == 163
+
+
+def test_labelled_count_matches_composition_sum():
+    for n in range(1, 15):
+        assert labelled_period_count(n) == reference_labelled_count(n)
+
+
+def test_labelled_table_matches_single_counts():
+    table = labelled_period_counts(60)
+    assert len(table) == 60
+    for k in range(1, 61):
+        assert table[k - 1] == labelled_period_count(k)
+
+
+def test_labelled_count_pinned_values():
+    # n = 20 also from the composition sum, both from an independent transfer-matrix loop
+    assert labelled_period_count(20) == 2967469729812361405273579
+    assert labelled_period_count(24) == 15568920295794314572713856804199
+
+
+def test_labelled_count_rejects_zero():
+    with pytest.raises(ValueError):
+        labelled_period_count(0)
+    with pytest.raises(ValueError):
+        labelled_period_counts(0)
 
 
 def test_labelled_count_matches_brute_force():

@@ -69,6 +69,11 @@ def test_from_edge_list_rejects_duplicate():
         from_edge_list(2, [(0, 1), (1, 0)])
 
 
+def test_duplicate_edge_is_named_however_far_apart_the_copies_are():
+    with pytest.raises(ValueError, match=r"duplicate edge \(2, 3\)"):
+        from_edge_list(5, [(2, 3), (0, 1), (1, 2), (3, 4), (3, 2)])
+
+
 def test_from_edge_list_rejects_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         from_edge_list(2, [(0, 2)])
