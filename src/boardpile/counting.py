@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .diffusion import fire, fire_complete
+from .diffusion import fire_complete, is_period_config
 from .graphs import complete
 
 _SEEDS = (1, 2, 6, 19)
@@ -236,6 +236,6 @@ def brute_force_labelled(n: int, cap: int = LABELLED_CAP) -> int:
     for vec in itertools.product(range(2 * n + 1), repeat=n):
         if 0 not in vec:
             continue
-        if fire(g, fire(g, vec)) == vec:
+        if is_period_config(g, vec):
             count += 1
     return count

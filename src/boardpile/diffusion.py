@@ -5,6 +5,13 @@ poorer neighbour and receives one chip from every strictly richer neighbour;
 equal neighbours exchange nothing.  Stack sizes may go negative.  Adding a
 constant to every stack never changes which chips move, and every trajectory
 eventually settles into a cycle of length 1 or 2.
+
+One step on a graph with n vertices and m edges costs O(m) when the graph
+is sparse: every edge is visited.  When C(n,2) - m + 3n < m the graph
+stores its missing pairs (Graph.missing_pairs) and a step costs
+O(n log n + C(n,2) - m): each vertex moves as it would on K_n, which depends
+only on how many stacks sit above and below its own, and then the exchanges
+across the missing pairs are taken back.  Both paths give identical results.
 """
 
 from __future__ import annotations
@@ -61,15 +68,37 @@ class Orientation(NamedTuple):
 
 
 def _fire_raw(g: Graph, stacks: Config) -> Config:
-    out = list(stacks)
-    for u, v in g.edges:
+    missing = g.missing_pairs
+    if missing is None:
+        out = list(stacks)
+        for u, v in g.edges:
+            su, sv = stacks[u], stacks[v]
+            if su > sv:
+                out[u] -= 1
+                out[v] += 1
+            elif sv > su:
+                out[v] -= 1
+                out[u] += 1
+        return tuple(out)
+    # On K_n a value x with `below` stacks under it and j stacks at or under
+    # it gains n - j chips and loses `below`.  Keys enter `moved` in sorted
+    # order, so its items run through the distinct values ascending.
+    n = len(stacks)
+    moved = {x: j for j, x in enumerate(sorted(stacks), 1)}
+    below = 0
+    for x, j in moved.items():
+        moved[x] = x + n - j - below
+        below = j
+    out = list(map(moved.__getitem__, stacks))
+    # then undo the chip K_n passed across each pair g lacks
+    for u, v in missing:
         su, sv = stacks[u], stacks[v]
         if su > sv:
-            out[u] -= 1
-            out[v] += 1
-        elif sv > su:
-            out[v] -= 1
             out[u] += 1
+            out[v] -= 1
+        elif sv > su:
+            out[v] += 1
+            out[u] -= 1
     return tuple(out)
 
 
@@ -101,6 +130,8 @@ def fire(g: Graph, stacks: Sequence[int]) -> Config:
 
     Every vertex gains one chip per strictly richer neighbour and loses one
     per strictly poorer neighbour.  The total number of chips is conserved.
+    Costs O(m) on a sparse graph and O(n log n + C(n,2) - m) on a dense one
+    (C(n,2) - m + 3n < m, see Graph.missing_pairs), with identical results.
     """
     return _fire_raw(g, _config_on(g, stacks))
 
@@ -143,7 +174,7 @@ def run(g: Graph, start: Sequence[int], steps: int) -> list[Config]:
     current = _config_on(g, start)
     trajectory = [current]
     for _ in range(steps):
-        current = fire(g, current)
+        current = _fire_raw(g, current)
         trajectory.append(current)
     return trajectory
 
@@ -163,7 +194,7 @@ def detect_period(g: Graph, start: Sequence[int], max_steps: int = DEFAULT_MAX_S
     before, previous = None, _config_on(g, start)
     checkpoint, checkpoint_t = previous, 0
     for t in range(1, max_steps + 1):
-        current = fire(g, previous)
+        current = _fire_raw(g, previous)
         if current == previous:
             return PeriodReport(preperiod=t - 1, period=1, period_configs=(current,))
         if current == before:
@@ -201,6 +232,6 @@ def is_period_config(g: Graph, stacks: Sequence[int]) -> bool:
     Cycles have length 1 or 2, so membership is equivalent to firing twice
     returning the configuration exactly.
     """
-    c = tuple(int(s) for s in stacks)
-    return fire(g, fire(g, c)) == c
+    c = _config_on(g, stacks)
+    return _fire_raw(g, _fire_raw(g, c)) == c
 

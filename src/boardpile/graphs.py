@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import pairwise
+from itertools import combinations, pairwise
 from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
@@ -15,9 +15,16 @@ class Graph:
     Vertices are the integers 0..n-1.  Edges are unordered pairs of distinct
     vertices, stored canonically as (u, v) with u < v.  Per-vertex neighbour
     lists are precomputed and sorted so iteration order is deterministic.
+
+    `missing_pairs` picks how diffusion fires the graph.  On a dense graph,
+    where C(n,2) - m + 3n < m for m edges, it holds the C(n,2) - m pairs
+    (u, v), u < v, that are not edges, in ascending order: a step then costs
+    O(n log n + C(n,2) - m), a K_n step by stack rank corrected on those
+    pairs.  Otherwise it is None and a step visits every edge, O(m).  The
+    rule reads n and m alone, and both paths give identical results.
     """
 
-    __slots__ = ("n", "edges", "neighbors")
+    __slots__ = ("n", "edges", "neighbors", "missing_pairs")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         if n < 0:
@@ -49,6 +56,20 @@ class Graph:
         self.n = n
         self.edges = tuple(canonical)
         self.neighbors = tuple(map(tuple, nbrs))
+        self.missing_pairs = None
+        m = len(canonical)
+        if n * (n - 1) // 2 - m + 3 * n < m:
+            # combinations() runs through the pairs in the order of the sorted
+            # edge list, so one merge leaves exactly the pairs that are absent
+            missing: list[Edge] = []
+            present = iter(canonical)
+            edge = next(present, None)
+            for pair in combinations(range(n), 2):
+                if pair == edge:
+                    edge = next(present, None)
+                else:
+                    missing.append(pair)
+            self.missing_pairs = tuple(missing)
 
     def adjacent(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):

@@ -1,8 +1,9 @@
 import random
 import tracemalloc
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import boardpile.diffusion as diffusion
 from boardpile.diffusion import (
@@ -69,6 +70,62 @@ def test_fire_complete_graph_multiset():
     # on K_5 a vertex at 3 gains from its 4 richer neighbours; each 4 gains
     # from the two 5s and pays the 3; each 5 pays its three poorer neighbours
     assert fire(complete(5), (3, 4, 4, 5, 5)) == (7, 5, 5, 2, 2)
+
+
+def reference_fire(g, stacks):
+    """One step by visiting every edge, whatever the density of g."""
+    out = list(stacks)
+    for u, v in g.edges:
+        su, sv = stacks[u], stacks[v]
+        if su > sv:
+            out[u] -= 1
+            out[v] += 1
+        elif sv > su:
+            out[v] -= 1
+            out[u] += 1
+    return tuple(out)
+
+
+@st.composite
+def any_density_graph_and_stacks(draw):
+    # the edge count is drawn first, so every density from empty to K_n is as
+    # likely as any other; stacks mix ties, negatives and very large values
+    n = draw(st.integers(min_value=0, max_value=14))
+    pairs = list(combinations(range(n), 2))
+    m = draw(st.integers(0, len(pairs)))
+    edges = draw(st.permutations(pairs))[:m]
+    stack = st.integers(-4, 4) | st.integers(-(10**30), 10**30)
+    stacks = draw(st.lists(stack, min_size=n, max_size=n))
+    return Graph(n, edges), tuple(stacks)
+
+
+@settings(deadline=None, max_examples=400)
+@given(any_density_graph_and_stacks())
+@example((Graph(0), ()))
+@example((Graph(1), (-(10**40),)))
+def test_fire_matches_edge_loop_at_every_density(gs):
+    g, stacks = gs
+    expected = reference_fire(g, stacks)
+    assert fire(g, stacks) == expected
+    # the rule only picks the faster path: forced onto the rank path, a graph
+    # of any density still fires the same
+    forced = Graph(g.n, g.edges)
+    present = set(g.edges)
+    forced.missing_pairs = tuple(e for e in combinations(range(g.n), 2) if e not in present)
+    assert fire(forced, stacks) == expected
+
+
+def test_fire_dense_graph_takes_rank_path_and_matches_edge_loop():
+    # a seeded G(120, 0.9) start, the shape of the dense benchmark orbits
+    rng = random.Random(0)
+    n = 120
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.9])
+    assert g.missing_pairs is not None
+    stacks = tuple(rng.randint(-5, 5) for _ in range(n))
+    for _ in range(20):
+        fired = fire(g, stacks)
+        assert fired == reference_fire(g, stacks)
+        stacks = fired
 
 
 # --- fire_complete ---------------------------------------------------------
@@ -196,7 +253,7 @@ def test_detect_period_budget_exhausted():
 
 def test_detect_period_surfaces_longer_cycles(monkeypatch):
     # substitute a rotation map, whose cycle on this start has length 3
-    monkeypatch.setattr(diffusion, "fire", lambda g, c: c[1:] + c[:1])
+    monkeypatch.setattr(diffusion, "_fire_raw", lambda g, c: c[1:] + c[:1])
     with pytest.raises(PeriodNotOneOrTwo):
         detect_period(complete(3), (0, 1, 2))
 
@@ -247,7 +304,7 @@ def test_detect_period_matches_reference_finder(gs, max_steps):
 
 def test_detect_period_reports_exact_length_of_longer_cycle(monkeypatch):
     # 0 -> 1 -> 2 -> 3 -> ... -> 7 -> 3: a 3-step tail into a 5-cycle
-    monkeypatch.setattr(diffusion, "fire", lambda g, c: (c[0] + 1 if c[0] < 7 else 3,))
+    monkeypatch.setattr(diffusion, "_fire_raw", lambda g, c: (c[0] + 1 if c[0] < 7 else 3,))
     with pytest.raises(PeriodNotOneOrTwo, match="cycle length 5"):
         detect_period(Graph(1), (0,))
 
@@ -308,6 +365,11 @@ def test_is_period_config_examples():
     assert is_period_config(path(4), (2, 2, 2, 2))
     assert is_period_config(star(5), (1, 1, 1, 1, 1))
     assert not is_period_config(complete(2), (0, 3))
+
+
+def test_is_period_config_size_mismatch():
+    with pytest.raises(ValueError, match="stacks"):
+        is_period_config(P5, (1, 2, 3))
 
 
 def test_is_period_config_matches_zero_preperiod():

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from boardpile.graphs import (
@@ -97,6 +100,20 @@ def test_neighbor_lists_sorted_and_consistent():
         for u in g.neighbors[v]:
             assert g.adjacent(u, v)
     assert g.degree(1) == 3
+
+
+def test_dense_graphs_store_their_missing_pairs():
+    # C(n,2) - m + 3n < m picks the rank path; K_5 and below keep the edge loop
+    assert complete(10).missing_pairs == ()
+    assert complete(5).missing_pairs is None
+    assert path(100).missing_pairs is None
+    assert Graph(0).missing_pairs is None
+    rng = random.Random(4)
+    pairs = list(combinations(range(40), 2))
+    g = Graph(40, [e for e in pairs if rng.random() < 0.9])
+    present = set(g.edges)
+    assert g.missing_pairs == tuple(e for e in pairs if e not in present)
+    assert 0 < len(g.missing_pairs) < 120
 
 
 def test_graphs_hashable_and_equal_by_structure():
