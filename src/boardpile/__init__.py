@@ -33,7 +33,6 @@ from .diffusion import (
     PeriodNotOneOrTwo,
     PeriodReport,
     detect_period,
-    equivalent,
     fire,
     fire_complete,
     is_period_config,
@@ -41,7 +40,7 @@ from .diffusion import (
     orientation_of,
     run,
 )
-from .graphs import Graph, complete, cycle, from_edge_list, path, star
+from .graphs import Graph, complete, cycle, path, star
 from .polyomino import (
     BoardPilePolyomino,
     InvalidPolyomino,
@@ -49,7 +48,6 @@ from .polyomino import (
     layout,
     reflect,
     render_ascii,
-    validate,
 )
 
 __version__ = "0.1.0"
@@ -78,10 +76,8 @@ __all__ = [
     "cycle",
     "detect_period",
     "enumerate_board_pile",
-    "equivalent",
     "fire",
     "fire_complete",
-    "from_edge_list",
     "gf_coefficients",
     "is_period_config",
     "labelled_period_count",
@@ -96,5 +92,4 @@ __all__ = [
     "render_ascii",
     "run",
     "star",
-    "validate",
 ]

@@ -52,9 +52,7 @@ def gf_coefficients(n_max: int) -> list[int]:
     numerator = {1: 1, 2: -3, 3: 3, 4: -1}  # x(1-x)^3 expanded
     series = [0] * (n_max + 1)
     for k in range(1, n_max + 1):
-        c = numerator.get(k, 0)
-        if k >= 1:
-            c += 5 * series[k - 1]
+        c = numerator.get(k, 0) + 5 * series[k - 1]
         if k >= 2:
             c -= 7 * series[k - 2]
         if k >= 3:
@@ -202,12 +200,12 @@ UNLABELLED_CAP = 8
 LABELLED_CAP = 5
 
 
-def brute_force_period_multisets(n: int, cap: int = UNLABELLED_CAP) -> list[tuple[int, ...]]:
+def brute_force_period_multisets(n: int) -> list[tuple[int, ...]]:
     """All sorted periodic multisets on n vertices with minimum 0."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the brute-force cap {cap}")
+    if n > UNLABELLED_CAP:
+        raise ValueError(f"n={n} exceeds the brute-force cap {UNLABELLED_CAP}")
     found = []
     for tail in itertools.combinations_with_replacement(range(2 * n + 1), n - 1):
         ms = (0,) + tail
@@ -216,12 +214,12 @@ def brute_force_period_multisets(n: int, cap: int = UNLABELLED_CAP) -> list[tupl
     return found
 
 
-def brute_force_unlabelled(n: int, cap: int = UNLABELLED_CAP) -> int:
+def brute_force_unlabelled(n: int) -> int:
     """Count normalized periodic multisets on n vertices by exhaustive scan."""
-    return len(brute_force_period_multisets(n, cap))
+    return len(brute_force_period_multisets(n))
 
 
-def brute_force_labelled(n: int, cap: int = LABELLED_CAP) -> int:
+def brute_force_labelled(n: int) -> int:
     """Count normalized periodic stack vectors on n labelled vertices.
 
     Scans every vector in [0, 2n]^n with minimum 0 and keeps those that the
@@ -229,8 +227,8 @@ def brute_force_labelled(n: int, cap: int = LABELLED_CAP) -> int:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the brute-force cap {cap}")
+    if n > LABELLED_CAP:
+        raise ValueError(f"n={n} exceeds the brute-force cap {LABELLED_CAP}")
     g = complete(n)
     count = 0
     for vec in itertools.product(range(2 * n + 1), repeat=n):

@@ -12,6 +12,8 @@ stores its missing pairs (Graph.missing_pairs) and a step costs
 O(n log n + C(n,2) - m): each vertex moves as it would on K_n, which depends
 only on how many stacks sit above and below its own, and then the exchanges
 across the missing pairs are taken back.  Both paths give identical results.
+That K_n step by rank is written once: fire_complete() is the same step on a
+multiset, sorted afterwards.
 """
 
 from __future__ import annotations
@@ -67,6 +69,19 @@ class Orientation(NamedTuple):
 # --- core firing rule ------------------------------------------------------
 
 
+def _fire_rank(stacks: Config) -> Config:
+    # On K_n a value x with `below` stacks under it and j stacks at or under
+    # it gains n - j chips and loses `below`.  Keys enter `moved` in sorted
+    # order, so its items run through the distinct values ascending.
+    n = len(stacks)
+    moved = {x: j for j, x in enumerate(sorted(stacks), 1)}
+    below = 0
+    for x, j in moved.items():
+        moved[x] = x + n - j - below
+        below = j
+    return tuple(map(moved.__getitem__, stacks))
+
+
 def _fire_raw(g: Graph, stacks: Config) -> Config:
     missing = g.missing_pairs
     if missing is None:
@@ -80,17 +95,8 @@ def _fire_raw(g: Graph, stacks: Config) -> Config:
                 out[v] -= 1
                 out[u] += 1
         return tuple(out)
-    # On K_n a value x with `below` stacks under it and j stacks at or under
-    # it gains n - j chips and loses `below`.  Keys enter `moved` in sorted
-    # order, so its items run through the distinct values ascending.
-    n = len(stacks)
-    moved = {x: j for j, x in enumerate(sorted(stacks), 1)}
-    below = 0
-    for x, j in moved.items():
-        moved[x] = x + n - j - below
-        below = j
-    out = list(map(moved.__getitem__, stacks))
-    # then undo the chip K_n passed across each pair g lacks
+    # a K_n step, then undo the chip it passed across each pair g lacks
+    out = list(_fire_rank(stacks))
     for u, v in missing:
         su, sv = stacks[u], stacks[v]
         if su > sv:
@@ -99,22 +105,6 @@ def _fire_raw(g: Graph, stacks: Config) -> Config:
         elif sv > su:
             out[v] += 1
             out[u] -= 1
-    return tuple(out)
-
-
-def _fire_sorted_raw(values: Config) -> Config:
-    # values ascending; on a complete graph a vertex's change depends only on
-    # how many values sit strictly above and below its own.
-    n = len(values)
-    out: list[int] = []
-    i = 0
-    while i < n:
-        j = i
-        while j < n and values[j] == values[i]:
-            j += 1
-        out.extend([values[i] + (n - j) - i] * (j - i))
-        i = j
-    out.sort()
     return tuple(out)
 
 
@@ -142,10 +132,10 @@ def fire_complete(multiset: Iterable[int]) -> Config:
     Returns the sorted multiset after one step; equals sorting the result of
     fire() on K_n for any labelling of the input.
     """
-    values = tuple(sorted(int(v) for v in multiset))
+    values = tuple(int(v) for v in multiset)
     if not values:
         raise ValueError("empty multiset")
-    return _fire_sorted_raw(values)
+    return tuple(sorted(_fire_rank(values)))
 
 
 def orientation_of(g: Graph, stacks: Sequence[int]) -> Orientation:
@@ -217,13 +207,6 @@ def normalize(stacks: Sequence[int]) -> Config:
         raise ValueError("empty configuration")
     lo = min(c)
     return tuple(s - lo for s in c)
-
-
-def equivalent(c: Sequence[int], d: Sequence[int]) -> bool:
-    """True iff d is c plus one constant on every stack."""
-    if len(c) != len(d):
-        raise ValueError(f"length mismatch: {len(c)} vs {len(d)}")
-    return normalize(c) == normalize(d)
 
 
 def is_period_config(g: Graph, stacks: Sequence[int]) -> bool:

@@ -31,7 +31,11 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         canonical: list[Edge] = []
         for pair in edges:
-            u, v = int(pair[0]), int(pair[1])
+            try:
+                u, v = pair
+            except ValueError:
+                raise ValueError(f"edge entry {pair!r}: expected exactly two endpoints") from None
+            u, v = int(u), int(v)
             for endpoint in (u, v):
                 if not 0 <= endpoint < n:
                     raise ValueError(
@@ -91,11 +95,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={len(self.edges)})"
-
-
-def from_edge_list(n: int, pairs: Iterable[Sequence[int]]) -> Graph:
-    """Build a validated graph from explicit edge pairs."""
-    return Graph(n, pairs)
 
 
 def complete(n: int) -> Graph:

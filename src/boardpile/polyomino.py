@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 Strip = tuple[int, int]
 
@@ -76,11 +76,6 @@ class BoardPilePolyomino:
     @property
     def height(self) -> int:
         return len(self.strips)
-
-
-def validate(strips: Iterable[Sequence[int]]) -> BoardPilePolyomino:
-    """Check a raw strip list and wrap it; raises InvalidPolyomino subtypes."""
-    return BoardPilePolyomino(tuple((d, length) for d, length in strips))
 
 
 def compositions(total: int) -> Iterator[tuple[int, ...]]:
@@ -161,4 +156,4 @@ def poly_from_document(doc: dict) -> BoardPilePolyomino:
         for s in strips
     ):
         raise ValueError("field 'strips': expected a list of [offset, length] integer pairs")
-    return validate(strips)
+    return BoardPilePolyomino(strips)

@@ -4,9 +4,11 @@ import pytest
 
 import boardpile.diffusion as diffusion
 
-# The raw firing steps behind fire() and fire_complete(); the audit wraps them
-# in place, so every firing step the suite takes goes through it.
-_AUDITED_STEPS = ("_fire_raw", "_fire_sorted_raw")
+# The raw firing steps: _fire_raw is behind fire() and every trajectory, and
+# _fire_rank, the K_n step by rank, is behind fire_complete() and the dense
+# branch of _fire_raw.  The audit wraps both in place, so every firing step the
+# suite takes goes through it, and a dense step is checked at both levels.
+_AUDITED_STEPS = ("_fire_raw", "_fire_rank")
 
 
 class FireAudit:

@@ -1,7 +1,16 @@
 import boardpile
 
 # names the package exported once and no longer does
-REMOVED = ("multinomial", "ordered_bell", "enable_fire_audit", "get_fire_audit", "disable_fire_audit")
+REMOVED = (
+    "multinomial",
+    "ordered_bell",
+    "enable_fire_audit",
+    "get_fire_audit",
+    "disable_fire_audit",
+    "from_edge_list",
+    "equivalent",
+    "validate",
+)
 
 
 def test_every_exported_name_resolves():

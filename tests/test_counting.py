@@ -269,7 +269,8 @@ def test_brute_force_caps():
         brute_force_unlabelled(UNLABELLED_CAP + 1)
     with pytest.raises(ValueError, match="cap"):
         brute_force_labelled(LABELLED_CAP + 1)
-    assert brute_force_unlabelled(UNLABELLED_CAP - 1, cap=UNLABELLED_CAP - 1) > 0
+    # just under the cap the scan runs, and agrees with the recurrence
+    assert brute_force_unlabelled(UNLABELLED_CAP - 1) == recurrence_counts(UNLABELLED_CAP - 1)[-1]
 
 
 def test_brute_force_multisets_are_normalized_and_sorted():

@@ -12,7 +12,6 @@ from boardpile.diffusion import (
     PeriodNotOneOrTwo,
     PeriodReport,
     detect_period,
-    equivalent,
     fire,
     fire_complete,
     is_period_config,
@@ -151,12 +150,13 @@ def test_fire_complete_rejects_empty():
 
 
 @settings(deadline=None)
-@given(st.lists(st.integers(-10, 10), min_size=1, max_size=10), st.randoms())
+@given(st.lists(st.integers(-10, 10), min_size=1, max_size=12), st.randoms())
 def test_fire_complete_matches_labelled_fire(values, rng):
+    # against the edge loop: fire() on K_n runs the same rank kernel from n = 8
     shuffled = list(values)
     rng.shuffle(shuffled)
     g = complete(len(values))
-    assert fire_complete(values) == tuple(sorted(fire(g, shuffled)))
+    assert fire_complete(values) == tuple(sorted(reference_fire(g, shuffled)))
 
 
 # --- orientation -----------------------------------------------------------
@@ -326,7 +326,7 @@ def test_detect_period_memory_does_not_grow_with_preperiod():
     assert peak < 64 * 1024
 
 
-# --- normalize / equivalent ------------------------------------------------
+# --- normalize -------------------------------------------------------------
 
 
 def test_normalize_shifts_min_to_zero():
@@ -341,20 +341,15 @@ def test_normalize_rejects_empty():
 
 
 def test_equivalent_shifted_sequences():
-    assert equivalent((1, 0, 1, 0, 1), (0, -1, 0, -1, 0))
-    assert equivalent((2, 5), (2, 5))
-    assert not equivalent((0, 1), (1, 0))
-
-
-def test_equivalent_length_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        equivalent((0, 1), (0, 1, 2))
+    assert normalize((1, 0, 1, 0, 1)) == normalize((0, -1, 0, -1, 0))
+    assert normalize((2, 5)) == normalize((2, 5))
+    assert normalize((0, 1)) != normalize((1, 0))
 
 
 @settings(deadline=None)
 @given(st.lists(st.integers(-10, 10), min_size=1, max_size=8), st.integers(-5, 5))
 def test_equivalent_under_any_shift(stacks, k):
-    assert equivalent(stacks, [s + k for s in stacks])
+    assert normalize(stacks) == normalize([s + k for s in stacks])
 
 
 # --- is_period_config ------------------------------------------------------

@@ -7,7 +7,6 @@ from boardpile.graphs import (
     Graph,
     complete,
     cycle,
-    from_edge_list,
     graph_from_document,
     graph_to_document,
     path,
@@ -58,28 +57,35 @@ def test_family_edge_count_closed_forms():
 
 
 def test_from_edge_list_builds_path():
-    g = from_edge_list(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     assert g == path(3)
 
 
 def test_from_edge_list_rejects_self_loop():
     with pytest.raises(ValueError, match="self-loop"):
-        from_edge_list(2, [(0, 0)])
+        Graph(2, [(0, 0)])
 
 
 def test_from_edge_list_rejects_duplicate():
     with pytest.raises(ValueError, match="duplicate"):
-        from_edge_list(2, [(0, 1), (1, 0)])
+        Graph(2, [(0, 1), (1, 0)])
 
 
 def test_duplicate_edge_is_named_however_far_apart_the_copies_are():
     with pytest.raises(ValueError, match=r"duplicate edge \(2, 3\)"):
-        from_edge_list(5, [(2, 3), (0, 1), (1, 2), (3, 4), (3, 2)])
+        Graph(5, [(2, 3), (0, 1), (1, 2), (3, 4), (3, 2)])
 
 
 def test_from_edge_list_rejects_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        from_edge_list(2, [(0, 2)])
+        Graph(2, [(0, 2)])
+
+
+def test_graph_rejects_entries_that_are_not_pairs():
+    with pytest.raises(ValueError, match=r"edge entry \(0, 1, 2\): expected exactly two endpoints"):
+        Graph(3, [(0, 1, 2)])
+    with pytest.raises(ValueError, match=r"edge entry \(0,\): expected exactly two endpoints"):
+        Graph(3, [(0,)])
 
 
 def test_adjacency_is_symmetric():
@@ -94,7 +100,7 @@ def test_adjacency_is_symmetric():
 
 
 def test_neighbor_lists_sorted_and_consistent():
-    g = from_edge_list(5, [(3, 1), (0, 4), (1, 0), (2, 1)])
+    g = Graph(5, [(3, 1), (0, 4), (1, 0), (2, 1)])
     for v in range(g.n):
         assert list(g.neighbors[v]) == sorted(g.neighbors[v])
         for u in g.neighbors[v]:
@@ -123,7 +129,7 @@ def test_graphs_hashable_and_equal_by_structure():
 
 
 def test_document_round_trip():
-    g = from_edge_list(4, [(0, 1), (2, 3), (1, 2)])
+    g = Graph(4, [(0, 1), (2, 3), (1, 2)])
     assert graph_from_document(graph_to_document(g)) == g
 
 

@@ -16,7 +16,6 @@ from boardpile.polyomino import (
     poly_to_document,
     reflect,
     render_ascii,
-    validate,
 )
 
 # --- independent oracle: grow all fixed polyominoes cell by cell -----------
@@ -87,41 +86,41 @@ def board_piles(draw):
 
 
 def test_validate_three_strip_example():
-    x = validate([(0, 2), (3, 3), (2, 1)])
+    x = BoardPilePolyomino([(0, 2), (3, 3), (2, 1)])
     assert x.cells == 6
     assert x.height == 3
 
 
 def test_validate_domino():
-    assert validate([(0, 1), (1, 1)]).strips == ((0, 1), (1, 1))
+    assert BoardPilePolyomino([(0, 1), (1, 1)]).strips == ((0, 1), (1, 1))
 
 
 def test_validate_detached_strips_rejected():
     # offsets for lengths 2,2 may only run 1..3
     with pytest.raises(OffsetOutOfRange) as exc:
-        validate([(0, 2), (4, 2)])
+        BoardPilePolyomino([(0, 2), (4, 2)])
     assert exc.value.index == 1
     assert exc.value.high == 3
 
 
 def test_validate_zero_offset_above_bottom_rejected():
     with pytest.raises(OffsetOutOfRange):
-        validate([(0, 2), (0, 2)])
+        BoardPilePolyomino([(0, 2), (0, 2)])
 
 
 def test_validate_empty_rejected():
     with pytest.raises(EmptyStripList):
-        validate([])
+        BoardPilePolyomino([])
 
 
 def test_validate_first_offset_must_be_zero():
     with pytest.raises(FirstOffsetNonzero):
-        validate([(1, 2)])
+        BoardPilePolyomino([(1, 2)])
 
 
 def test_validate_nonpositive_length_rejected():
     with pytest.raises(StripLengthNonpositive):
-        validate([(0, 0)])
+        BoardPilePolyomino([(0, 0)])
 
 
 # --- enumeration -----------------------------------------------------------
