@@ -7,7 +7,6 @@ this package enumerates and counts exactly.
 """
 
 from .bijection import (
-    CompleteConfig,
     NotAPeriodConfiguration,
     NotNormalized,
     check_fire_reflect,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoardPilePolyomino",
     "CharacteristicRoots",
-    "CompleteConfig",
     "Graph",
     "InvalidPolyomino",
     "NoRepeatWithinBudget",

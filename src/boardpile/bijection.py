@@ -1,17 +1,18 @@
 """The strip-to-stack correspondence.
 
-Reading a board-pile polyomino bottom-up, give every cell of strip k the
-stack value d_1 + ... + d_k.  The resulting multiset is a periodic
-configuration of the complete graph on n vertices, and every normalized
-periodic multiset arises from exactly one polyomino this way: the gaps
-between consecutive distinct stack values, paired with their multiplicities,
-rebuild the strips.  Firing the image once corresponds to flipping the
-polyomino upside down (after renormalizing).
+A configuration of the complete graph K_n is held as its sorted multiset of
+stacks, a tuple of n ints.  Reading a board-pile polyomino bottom-up, give
+every cell of strip k the stack value d_1 + ... + d_k.  The resulting
+multiset is a periodic configuration of K_n, and every normalized periodic
+multiset arises from exactly one polyomino this way: the gaps between
+consecutive distinct stack values, paired with their multiplicities, rebuild
+the strips.  Firing the image once corresponds to flipping the polyomino
+upside down (after renormalizing).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable
 
 from .diffusion import fire_complete, normalize
@@ -26,86 +27,46 @@ class NotNormalized(ValueError):
     """The smallest stack value is not 0; normalize before inverting."""
 
 
-@dataclass(frozen=True)
-class CompleteConfig:
-    """Complete-graph configuration as (stack value, multiplicity) levels,
-    values strictly ascending."""
+def poly_to_config(x: BoardPilePolyomino) -> tuple[int, ...]:
+    """Map a board-pile polyomino with n cells to a sorted multiset on K_n.
 
-    levels: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "levels", tuple((int(v), int(m)) for v, m in self.levels)
-        )
-        if not self.levels:
-            raise ValueError("configuration has no levels")
-        for value, mult in self.levels:
-            if mult < 1:
-                raise ValueError(f"level {value} has multiplicity {mult}")
-        for (lo, _), (hi, _) in zip(self.levels, self.levels[1:]):
-            if lo >= hi:
-                raise ValueError(f"level values not strictly ascending: {lo} then {hi}")
-
-    @property
-    def size(self) -> int:
-        return sum(mult for _, mult in self.levels)
-
-    def to_multiset(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for value, mult in self.levels:
-            out.extend([value] * mult)
-        return tuple(out)
-
-    @classmethod
-    def from_multiset(cls, values: Iterable[int]) -> "CompleteConfig":
-        ordered = sorted(int(v) for v in values)
-        if not ordered:
-            raise ValueError("empty multiset")
-        levels: list[tuple[int, int]] = []
-        for v in ordered:
-            if levels and levels[-1][0] == v:
-                levels[-1] = (v, levels[-1][1] + 1)
-            else:
-                levels.append((v, 1))
-        return cls(tuple(levels))
-
-
-def poly_to_config(x: BoardPilePolyomino) -> CompleteConfig:
-    """Map a board-pile polyomino with n cells to a configuration of K_n.
-
-    Level k holds the running sum of the first k offsets, with multiplicity
-    the length of strip k.  Offsets above the bottom strip are positive, so
-    the levels ascend strictly.  The image is always periodic.
+    Each cell of strip k holds the running sum of the first k offsets.
+    Offsets above the bottom strip are positive, so the values ascend and
+    the tuple comes out sorted.  The image is always periodic.
     """
-    levels = []
+    stacks: list[int] = []
     running = 0
     for d, length in x.strips:
         running += d
-        levels.append((running, length))
-    return CompleteConfig(tuple(levels))
+        stacks += [running] * length
+    return tuple(stacks)
 
 
-def config_to_poly(c: CompleteConfig) -> BoardPilePolyomino:
-    """Invert poly_to_config on a normalized periodic configuration.
+def config_to_poly(multiset: Iterable[int]) -> BoardPilePolyomino:
+    """Invert poly_to_config on a normalized periodic multiset, in any order.
 
-    Strip k gets length = multiplicity of level k and offset = gap to the
-    level below (0 for the bottom strip).  Raises NotNormalized when the
-    smallest value is not 0, and NotAPeriodConfiguration when two firings do
-    not reproduce the multiset, since only periodic multisets have preimages.
+    Strip k gets length = multiplicity of the k-th smallest value and
+    offset = gap to the value below (0 for the bottom strip).  Raises
+    NotNormalized when the smallest value is not 0, and
+    NotAPeriodConfiguration when two firings do not reproduce the multiset,
+    since only periodic multisets have preimages.
     """
-    if c.levels[0][0] != 0:
-        raise NotNormalized(f"smallest stack value is {c.levels[0][0]}, expected 0")
-    ms = c.to_multiset()
+    ms = tuple(sorted(multiset))
+    if not ms:
+        raise ValueError("empty multiset")
+    if ms[0] != 0:
+        raise NotNormalized(f"smallest stack value is {ms[0]}, expected 0")
     if fire_complete(fire_complete(ms)) != ms:
         raise NotAPeriodConfiguration(f"multiset {ms} is not inside its own cycle")
-    strips = [(0, c.levels[0][1])]
-    for (lo, _), (hi, mult) in zip(c.levels, c.levels[1:]):
-        strips.append((hi - lo, mult))
+    strips = []
+    below = 0
+    for value, run in groupby(ms):
+        strips.append((value - below, sum(1 for _ in run)))
+        below = value
     return BoardPilePolyomino(tuple(strips))
 
 
 def check_fire_reflect(x: BoardPilePolyomino) -> bool:
     """True iff firing the image once, then renormalizing, lands on the image
     of the vertically flipped polyomino."""
-    fired = normalize(fire_complete(poly_to_config(x).to_multiset()))
-    return fired == poly_to_config(reflect(x)).to_multiset()
+    return normalize(fire_complete(poly_to_config(x))) == poly_to_config(reflect(x))

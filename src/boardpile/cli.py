@@ -3,7 +3,7 @@
 Subcommands: simulate, period, enumerate, render, map, count, verify.
 All documents are UTF-8 JSON; counts are serialized as decimal strings so
 arbitrary-precision values survive any JSON parser.  Exit codes: 0 success,
-1 domain/engine error, 2 malformed input.
+1 domain/engine error, 2 malformed input or an unwritable output path.
 """
 
 from __future__ import annotations
@@ -22,16 +22,20 @@ class InputError(Exception):
 
 
 def _read_document(path: str, name: str) -> dict:
+    # bytes from either source, decoded here, so the locale's stdin error
+    # handler cannot let undecodable bytes through
     try:
         if path == "-":
-            text = sys.stdin.read()
+            data = sys.stdin.buffer.read()
         else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                data = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {name} from {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{name} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(
             f"invalid JSON in {name}: line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -82,8 +86,11 @@ def _parse_polyomino(doc: dict) -> polyomino.BoardPilePolyomino:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path and out_path != "-":
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write output to {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -146,13 +153,12 @@ def _cmd_map(args) -> int:
     doc = _read_document(args.document, "input document")
     if "strips" in doc:
         x = _parse_polyomino(doc)
-        out = {"stacks": list(bijection.poly_to_config(x).to_multiset())}
+        out = {"stacks": list(bijection.poly_to_config(x))}
     elif "stacks" in doc:
         stacks = _stacks_field(doc)
         if not stacks:
             raise InputError("field 'stacks': expected a nonempty list of integers")
-        config = bijection.CompleteConfig.from_multiset(diffusion.normalize(stacks))
-        x = bijection.config_to_poly(config)
+        x = bijection.config_to_poly(diffusion.normalize(stacks))
         out = polyomino.poly_to_document(x)
     else:
         raise InputError("input document needs either 'strips' or 'stacks'")
@@ -238,10 +244,7 @@ def verify_image(n_max: int) -> tuple[bool, str]:
     """The strip images equal the fire-twice scan, as sets, for n=1..n_max."""
     for n in range(1, n_max + 1):
         oracle = set(counting.brute_force_period_multisets(n))
-        image = {
-            bijection.poly_to_config(x).to_multiset()
-            for x in polyomino.enumerate_board_pile(n)
-        }
+        image = {bijection.poly_to_config(x) for x in polyomino.enumerate_board_pile(n)}
         if oracle != image:
             return False, f"mismatch at n={n}"
     return True, f"strip images match the fire-twice scan for n=1..{n_max}"

@@ -13,8 +13,8 @@ class Graph:
     """Immutable simple graph.
 
     Vertices are the integers 0..n-1.  Edges are unordered pairs of distinct
-    vertices, stored canonically as (u, v) with u < v.  Per-vertex neighbour
-    lists are precomputed and sorted so iteration order is deterministic.
+    vertices, stored canonically as (u, v) with u < v, and the sorted tuple
+    `edges` is the graph's only copy of them.
 
     `missing_pairs` picks how diffusion fires the graph.  On a dense graph,
     where C(n,2) - m + 3n < m for m edges, it holds the C(n,2) - m pairs
@@ -24,7 +24,7 @@ class Graph:
     rule reads n and m alone, and both paths give identical results.
     """
 
-    __slots__ = ("n", "edges", "neighbors", "missing_pairs")
+    __slots__ = ("n", "edges", "missing_pairs")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         if n < 0:
@@ -51,15 +51,8 @@ class Graph:
         for edge, following in pairwise(canonical):
             if edge == following:
                 raise ValueError(f"duplicate edge {edge}")
-        # The sorted edges give each vertex x its neighbours in ascending order
-        # without a sort per list: first every (u, x) by u, then every (x, v) by v.
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in canonical:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
         self.n = n
         self.edges = tuple(canonical)
-        self.neighbors = tuple(map(tuple, nbrs))
         self.missing_pairs = None
         m = len(canonical)
         if n * (n - 1) // 2 - m + 3 * n < m:
@@ -78,12 +71,9 @@ class Graph:
     def adjacent(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"vertex pair ({u}, {v}) out of range for {self.n} vertices")
-        ns = self.neighbors[u]
-        i = bisect_left(ns, v)
-        return i < len(ns) and ns[i] == v
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
+        edge = (u, v) if u < v else (v, u)
+        i = bisect_left(self.edges, edge)
+        return i < len(self.edges) and self.edges[i] == edge
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -126,11 +116,6 @@ def star(n: int) -> Graph:
 
 
 _FAMILIES = {"complete": complete, "path": path, "cycle": cycle, "star": star}
-
-
-def graph_to_document(g: Graph) -> dict:
-    """JSON-ready document: {"n": ..., "edges": [[u, v], ...]}."""
-    return {"n": g.n, "edges": [[u, v] for u, v in g.edges]}
 
 
 def graph_from_document(doc: dict) -> Graph:

@@ -1,7 +1,6 @@
 import pytest
 
 from boardpile.bijection import (
-    CompleteConfig,
     NotAPeriodConfiguration,
     NotNormalized,
     check_fire_reflect,
@@ -14,80 +13,62 @@ from boardpile.graphs import complete
 from boardpile.polyomino import BoardPilePolyomino, enumerate_board_pile
 
 
-# --- CompleteConfig ----------------------------------------------------------
-
-
-def test_complete_config_multiset_round_trip():
-    c = CompleteConfig.from_multiset((5, 0, 3, 3, 0, 5, 5, 5, 8, 8))
-    assert c.levels == ((0, 2), (3, 2), (5, 4), (8, 2))
-    assert c.to_multiset() == (0, 0, 3, 3, 5, 5, 5, 5, 8, 8)
-    assert c.size == 10
-
-
-def test_complete_config_invariants():
-    with pytest.raises(ValueError):
-        CompleteConfig(((3, 1), (2, 1)))
-    with pytest.raises(ValueError):
-        CompleteConfig(((0, 0),))
-    with pytest.raises(ValueError):
-        CompleteConfig(())
-    with pytest.raises(ValueError):
-        CompleteConfig.from_multiset(())
-
-
 # --- forward map -------------------------------------------------------------
 
 
 def test_poly_to_config_four_strip_example():
     x = BoardPilePolyomino(((0, 2), (3, 2), (2, 4), (3, 2)))
-    c = poly_to_config(x)
-    assert c.levels == ((0, 2), (3, 2), (5, 4), (8, 2))
-    assert c.to_multiset() == (0, 0, 3, 3, 5, 5, 5, 5, 8, 8)
+    assert poly_to_config(x) == (0, 0, 3, 3, 5, 5, 5, 5, 8, 8)
 
 
 def test_poly_to_config_single_strip():
-    assert poly_to_config(BoardPilePolyomino(((0, 6),))).to_multiset() == (0,) * 6
+    assert poly_to_config(BoardPilePolyomino(((0, 6),))) == (0,) * 6
 
 
 def test_poly_to_config_three_strip_example():
     x = BoardPilePolyomino(((0, 2), (3, 3), (2, 1)))
-    assert poly_to_config(x).to_multiset() == (0, 0, 3, 3, 3, 5)
+    assert poly_to_config(x) == (0, 0, 3, 3, 3, 5)
 
 
 def test_images_are_period_configs():
     for n in range(1, 7):
         g = complete(n)
         for x in enumerate_board_pile(n):
-            assert is_period_config(g, poly_to_config(x).to_multiset())
+            assert is_period_config(g, poly_to_config(x))
 
 
 # --- inverse map -------------------------------------------------------------
 
 
 def test_config_to_poly_four_strip_example():
-    c = CompleteConfig.from_multiset((0, 0, 3, 3, 5, 5, 5, 5, 8, 8))
-    assert config_to_poly(c).strips == ((0, 2), (3, 2), (2, 4), (3, 2))
+    x = config_to_poly((0, 0, 3, 3, 5, 5, 5, 5, 8, 8))
+    assert x.strips == ((0, 2), (3, 2), (2, 4), (3, 2))
+
+
+def test_config_to_poly_sorts_its_input():
+    x = config_to_poly((5, 0, 3, 3, 0, 5, 5, 5, 8, 8))
+    assert x.strips == ((0, 2), (3, 2), (2, 4), (3, 2))
+    with pytest.raises(ValueError, match="empty multiset"):
+        config_to_poly(())
 
 
 def test_config_to_poly_all_zero():
-    c = CompleteConfig.from_multiset((0, 0, 0, 0))
-    assert config_to_poly(c).strips == ((0, 4),)
+    assert config_to_poly((0, 0, 0, 0)).strips == ((0, 4),)
 
 
 def test_config_to_poly_two_values():
-    c = CompleteConfig.from_multiset((0, 1))
-    assert config_to_poly(c).strips == ((0, 1), (1, 1))
+    assert config_to_poly((0, 1)).strips == ((0, 1), (1, 1))
 
 
 def test_config_to_poly_rejects_unnormalized():
     with pytest.raises(NotNormalized):
-        config_to_poly(CompleteConfig.from_multiset((1, 2)))
+        config_to_poly((1, 2))
 
 
 def test_config_to_poly_rejects_transient_config():
     # (0, 2) on two vertices drains to (1, 1), never returning
     with pytest.raises(NotAPeriodConfiguration):
-        config_to_poly(CompleteConfig.from_multiset((0, 2)))
+        config_to_poly((0, 2))
 
 
 # --- round trips and image ----------------------------------------------------
@@ -102,19 +83,18 @@ def test_round_trip_from_polyominoes():
 def test_round_trip_from_period_multisets():
     for n in range(1, 6):
         for ms in brute_force_period_multisets(n):
-            c = CompleteConfig.from_multiset(ms)
-            assert poly_to_config(config_to_poly(c)) == c
+            assert poly_to_config(config_to_poly(ms)) == ms
 
 
 def test_image_equals_period_multisets():
     for n in range(1, 6):
-        image = {poly_to_config(x).to_multiset() for x in enumerate_board_pile(n)}
+        image = {poly_to_config(x) for x in enumerate_board_pile(n)}
         assert image == set(brute_force_period_multisets(n))
 
 
 def test_map_is_injective():
     for n in range(1, 7):
-        images = [poly_to_config(x).to_multiset() for x in enumerate_board_pile(n)]
+        images = [poly_to_config(x) for x in enumerate_board_pile(n)]
         assert len(images) == len(set(images))
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import sys
 
@@ -189,6 +190,28 @@ def test_render_invalid_polyomino(tmp_path, capsys):
     code, _, err = invoke(["render", p], capsys)
     assert code == 2
     assert "offset" in err
+
+
+def test_render_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    p = tmp_path / "x.json"
+    p.write_bytes(b'{"strips": [[0, 2]], "x": "\xff"}')
+    code, out, err = invoke(["render", str(p)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: polyomino document is not UTF-8: ")
+
+
+def test_render_reads_stdin_as_utf8_whatever_the_locale(monkeypatch, capsys):
+    # a C-locale stdin decodes with surrogateescape, which lets 0xff through
+    def stdin(data):
+        raw = io.BytesIO(data)
+        return io.TextIOWrapper(raw, encoding="ascii", errors="surrogateescape")
+
+    monkeypatch.setattr(sys, "stdin", stdin('{"strips": [[0, 2]], "x": "\u00e9"}'.encode()))
+    assert invoke(["render", "-"], capsys) == (0, "##\n", "")
+    monkeypatch.setattr(sys, "stdin", stdin(b'{"strips": [[0, 2]], "x": "\xff"}'))
+    code, out, err = invoke(["render", "-"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: polyomino document is not UTF-8: ")
 
 
 # --- map ---------------------------------------------------------------------------
@@ -426,3 +449,14 @@ def test_verify_validates_caps(capsys):
 def test_unknown_subcommand_exits_2(capsys):
     code, _, _ = invoke(["frobnicate"], capsys)
     assert code == 2
+
+
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    code, out, err = invoke(["count", "--mode", "gf", "--n", "5", "--out", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write output to {tmp_path}: ")
+    p = write_doc(tmp_path, "x.json", {"strips": [[0, 2]]})
+    missing = tmp_path / "missing" / "x.json"
+    code, out, err = invoke(["map", p, "--out", str(missing)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write output to {missing}: ")
