@@ -1,9 +1,17 @@
-"""Command-line front end.
+"""Command-line front end, and the only reader and writer of the JSON documents.
 
 Subcommands: simulate, period, enumerate, render, map, count, verify.
-All documents are UTF-8 JSON; counts are serialized as decimal strings so
-arbitrary-precision values survive any JSON parser.  Exit codes: 0 success,
-1 domain/engine error, 2 malformed input or an unwritable output path.
+All documents are UTF-8 JSON objects:
+
+* graph: {"n": N, "edges": [[u, v], ...]}, or a family
+  {"family": "complete"|"cycle"|"path"|"star", "n": N};
+* configuration: {"stacks": [s_0, ..., s_{N-1}]};
+* polyomino: {"strips": [[d, length], ...]}, bottom strip first.
+
+Integer fields take JSON integers only.  Counts are serialized as decimal
+strings so arbitrary-precision values survive any JSON parser.  Exit codes:
+0 success, 1 domain/engine error, 2 malformed or ambiguous input, an
+unwritable output path or a closed stdout.
 """
 
 from __future__ import annotations
@@ -11,11 +19,19 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from typing import Sequence
 
-from . import bijection, counting, diffusion, polyomino
-from .graphs import Graph, graph_from_document
+from . import bijection, counting, diffusion, graphs, polyomino
+
+_FAMILIES = {
+    "complete": graphs.complete,
+    "cycle": graphs.cycle,
+    "path": graphs.path,
+    "star": graphs.star,
+}
+
 
 class InputError(Exception):
     """Malformed or inconsistent input document or flag value."""
@@ -48,40 +64,76 @@ def _read_document(path: str, name: str) -> dict:
     return doc
 
 
-def _load_graph(path: str) -> Graph:
-    doc = _read_document(path, "graph document")
+def _integers(doc: dict, name: str, key: str, pair: str = "") -> list:
+    """doc[key] as a list of JSON integers, or of [int, int] pairs named by `pair`."""
+    if key not in doc:
+        raise InputError(f"{name} missing field {key!r}")
+    value = doc[key]
+    # bool is a subclass of int, and neither true nor 2.9 nor "3" is an integer;
+    # the pair test is spelled out because it runs once per edge
+    if pair:
+        expected = f"a list of [{pair}] integer pairs"
+        bad = not isinstance(value, list) or any(
+            type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int
+            for e in value
+        )
+    else:
+        expected = "a list of integers"
+        bad = not isinstance(value, list) or any(type(s) is not int for s in value)
+    if bad:
+        raise InputError(f"{name}: field {key!r}: expected {expected}")
+    return value
+
+
+def _construct(name: str, make, *args):
+    """make(*args), its validation's ValueError reported against the document."""
     try:
-        return graph_from_document(doc)
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"graph document: {exc}") from exc
+        return make(*args)
+    except ValueError as exc:
+        raise InputError(f"{name}: {exc}") from exc
 
 
-def _stacks_field(doc: dict) -> tuple[int, ...]:
-    stacks = doc["stacks"]
-    # bool is a subclass of int, but true/false are not chip counts
-    if not isinstance(stacks, list) or not all(type(s) is int for s in stacks):
-        raise InputError("field 'stacks': expected a list of integers")
+def _load_graph(path: str) -> graphs.Graph:
+    name = "graph document"
+    doc = _read_document(path, name)
+    if "family" in doc and "edges" in doc:
+        raise InputError(f"{name} has both 'family' and 'edges': give one")
+    if "n" not in doc:
+        raise InputError(f"{name} missing field 'n'")
+    n = doc["n"]
+    if type(n) is not int:
+        raise InputError(f"{name}: field 'n': expected an integer")
+    if "family" not in doc:
+        return _construct(name, graphs.Graph, n, _integers(doc, name, "edges", "u, v"))
+    family = doc["family"]
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise InputError(
+            f"{name}: field 'family': unknown value {family!r} "
+            f"(expected one of {', '.join(_FAMILIES)})"
+        )
+    return _construct(name, _FAMILIES[family], n)
+
+
+def _load_stacks(path: str, g: graphs.Graph) -> tuple[int, ...]:
+    name = "configuration document"
+    stacks = _integers(_read_document(path, name), name, "stacks")
+    if len(stacks) != g.n:
+        raise InputError(
+            f"{name}: field 'stacks': expected {g.n} values for a graph on {g.n} vertices, "
+            f"got {len(stacks)}"
+        )
     return tuple(stacks)
 
 
-def _load_stacks(path: str, g: Graph) -> tuple[int, ...]:
-    doc = _read_document(path, "configuration document")
-    if "stacks" not in doc:
-        raise InputError("configuration document missing field 'stacks'")
-    stacks = _stacks_field(doc)
-    if len(stacks) != g.n:
-        raise InputError(
-            f"field 'stacks': expected {g.n} values for a graph on {g.n} vertices, "
-            f"got {len(stacks)}"
-        )
-    return stacks
+def _polyomino(doc: dict) -> polyomino.BoardPilePolyomino:
+    name = "polyomino document"
+    strips = _integers(doc, name, "strips", "offset, length")
+    return _construct(name, polyomino.BoardPilePolyomino, strips)
 
 
-def _parse_polyomino(doc: dict) -> polyomino.BoardPilePolyomino:
-    try:
-        return polyomino.poly_from_document(doc)
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"polyomino document: {exc}") from exc
+def _strips_doc(x: polyomino.BoardPilePolyomino) -> dict:
+    # JSON writes the tuple of (d, length) tuples as [[d, length], ...]
+    return {"strips": x.strips}
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -139,29 +191,32 @@ def _cmd_enumerate(args) -> int:
         sys.stdout.write("\n\n".join(blocks) + "\n")
     else:
         for x in stream:
-            sys.stdout.write(json.dumps(polyomino.poly_to_document(x)) + "\n")
+            sys.stdout.write(json.dumps(_strips_doc(x)) + "\n")
     return 0
 
 
 def _cmd_render(args) -> int:
-    x = _parse_polyomino(_read_document(args.polyomino, "polyomino document"))
+    x = _polyomino(_read_document(args.polyomino, "polyomino document"))
     sys.stdout.write(polyomino.render_ascii(x) + "\n")
     return 0
 
 
 def _cmd_map(args) -> int:
-    doc = _read_document(args.document, "input document")
+    name = "input document"
+    doc = _read_document(args.document, name)
+    if "strips" in doc and "stacks" in doc:
+        raise InputError(f"{name} has both 'strips' and 'stacks': give one")
     if "strips" in doc:
-        x = _parse_polyomino(doc)
+        x = _polyomino(doc)
         out = {"stacks": list(bijection.poly_to_config(x))}
     elif "stacks" in doc:
-        stacks = _stacks_field(doc)
+        stacks = _integers(doc, name, "stacks")
         if not stacks:
-            raise InputError("field 'stacks': expected a nonempty list of integers")
+            raise InputError(f"{name}: field 'stacks': expected a nonempty list of integers")
         x = bijection.config_to_poly(diffusion.normalize(stacks))
-        out = polyomino.poly_to_document(x)
+        out = _strips_doc(x)
     else:
-        raise InputError("input document needs either 'strips' or 'stacks'")
+        raise InputError(f"{name} needs either 'strips' or 'stacks'")
     if args.check:
         out["fire_reflect"] = bijection.check_fire_reflect(x)
     _emit(json.dumps(out, indent=2) + "\n", args.out)
@@ -220,6 +275,8 @@ def _cmd_count(args) -> int:
     else:
         if args.upto < 1:
             raise InputError("--upto must be at least 1")
+        if args.mode == "brute" and args.upto > counting.UNLABELLED_CAP:
+            raise InputError(f"--upto for mode 'brute' is capped at {counting.UNLABELLED_CAP}")
         table = _count_table(args.mode, args.upto)
         with _unlimited_int_digits():
             text = "n,count\n" + "".join(f"{k},{v}\n" for k, v in enumerate(table, start=1))
@@ -376,10 +433,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # whoever read stdout has closed it, so there is no one to tell
+        return 2
     except (ValueError, RuntimeError) as exc:  # every domain and engine error subclasses one
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def run() -> None:
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Send what is still buffered to devnull: the interpreter's own flush
+        # at exit would otherwise report the closed pipe on stderr.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 2
+    raise SystemExit(code)

@@ -114,38 +114,3 @@ def star(n: int) -> Graph:
         raise ValueError("star needs at least 1 vertex")
     return Graph(n, [(0, i) for i in range(1, n)])
 
-
-_FAMILIES = {"complete": complete, "path": path, "cycle": cycle, "star": star}
-
-
-def graph_from_document(doc: dict) -> Graph:
-    """Parse a graph document.
-
-    Accepts either an explicit form {"n": int, "edges": [[u, v], ...]} or a
-    family form {"family": "complete"|"path"|"cycle"|"star", "n": int}.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError("graph document must be a JSON object")
-    if "n" not in doc:
-        raise ValueError("graph document missing field 'n'")
-    n = doc["n"]
-    # bool is a subclass of int, and neither true nor 2.9 nor "3" is a vertex count
-    if type(n) is not int:
-        raise ValueError("field 'n': expected an integer")
-    if "family" in doc:
-        family = doc["family"]
-        builder = _FAMILIES.get(family)
-        if builder is None:
-            known = ", ".join(sorted(_FAMILIES))
-            raise ValueError(f"field 'family': unknown value {family!r} (expected one of {known})")
-        return builder(n)
-    if "edges" not in doc:
-        raise ValueError("graph document missing field 'edges'")
-    edges = doc["edges"]
-    if not isinstance(edges, list) or any(
-        not isinstance(e, (list, tuple)) or len(e) != 2
-        or type(e[0]) is not int or type(e[1]) is not int
-        for e in edges
-    ):
-        raise ValueError("field 'edges': expected a list of [u, v] integer pairs")
-    return Graph(n, edges)

@@ -22,39 +22,19 @@ class InvalidPolyomino(ValueError):
     """Strip list does not describe a board-pile polyomino."""
 
 
-class EmptyStripList(InvalidPolyomino):
-    pass
-
-
-class FirstOffsetNonzero(InvalidPolyomino):
-    pass
-
-
-class StripLengthNonpositive(InvalidPolyomino):
-    pass
-
-
-class OffsetOutOfRange(InvalidPolyomino):
-    def __init__(self, index: int, offset: int, high: int):
-        self.index = index
-        self.offset = offset
-        self.high = high
-        super().__init__(f"strips[{index}]: offset {offset} outside 1..{high}")
-
-
 def _check_strips(strips: tuple[Strip, ...]) -> None:
     if not strips:
-        raise EmptyStripList("strip list is empty")
+        raise InvalidPolyomino("strip list is empty")
     for i, (_, length) in enumerate(strips):
         if length < 1:
-            raise StripLengthNonpositive(f"strips[{i}]: length {length} must be positive")
+            raise InvalidPolyomino(f"strips[{i}]: length {length} must be positive")
     if strips[0][0] != 0:
-        raise FirstOffsetNonzero(f"strips[0]: offset {strips[0][0]} must be 0")
+        raise InvalidPolyomino(f"strips[0]: offset {strips[0][0]} must be 0")
     for i in range(1, len(strips)):
         d = strips[i][0]
         high = strips[i - 1][1] + strips[i][1] - 1
         if not 1 <= d <= high:
-            raise OffsetOutOfRange(i, d, high)
+            raise InvalidPolyomino(f"strips[{i}]: offset {d} outside 1..{high}")
 
 
 @dataclass(frozen=True)
@@ -139,21 +119,3 @@ def render_ascii(x: BoardPilePolyomino) -> str:
     placed = layout(x)
     return "\n".join(" " * start + "#" * length for start, length in reversed(placed))
 
-
-def poly_to_document(x: BoardPilePolyomino) -> dict:
-    """JSON-ready document: {"strips": [[d, length], ...]}."""
-    return {"strips": [[d, length] for d, length in x.strips]}
-
-
-def poly_from_document(doc: dict) -> BoardPilePolyomino:
-    if not isinstance(doc, dict) or "strips" not in doc:
-        raise ValueError("polyomino document missing field 'strips'")
-    strips = doc["strips"]
-    # bool is a subclass of int, but true/false are not offsets or lengths
-    if not isinstance(strips, list) or any(
-        not isinstance(s, (list, tuple)) or len(s) != 2
-        or type(s[0]) is not int or type(s[1]) is not int
-        for s in strips
-    ):
-        raise ValueError("field 'strips': expected a list of [offset, length] integer pairs")
-    return BoardPilePolyomino(strips)

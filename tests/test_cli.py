@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import boardpile
 import boardpile.counting as counting
 from boardpile.cli import main
 
@@ -102,6 +107,29 @@ def test_simulate_unknown_family(tmp_path, capsys):
     code, _, err = invoke(["simulate", g, c, "--steps", "1"], capsys)
     assert code == 2
     assert "family" in err
+
+
+@pytest.mark.parametrize(
+    "family, explicit, stacks",
+    [
+        (
+            {"family": "complete", "n": 5},
+            {"n": 5, "edges": [[u, v] for u in range(5) for v in range(u + 1, 5)]},
+            [3, 4, 4, 5, 5],
+        ),
+        ({"family": "path", "n": 4}, {"n": 4, "edges": [[1, 0], [2, 3], [2, 1]]}, [0, 3, 0, 1]),
+    ],
+)
+def test_family_form_equals_explicit_form(tmp_path, capsys, family, explicit, stacks):
+    c = write_doc(tmp_path, "c.json", {"stacks": stacks})
+    runs = []
+    for i, graph in enumerate((family, explicit)):
+        g = write_doc(tmp_path, f"g{i}.json", graph)
+        runs.append(
+            [invoke(["period", g, c], capsys), invoke(["simulate", g, c, "--steps", "6"], capsys)]
+        )
+    assert runs[0] == runs[1]
+    assert [code for code, _, _ in runs[0]] == [0, 0]
 
 
 # --- period --------------------------------------------------------------------
@@ -245,6 +273,14 @@ def test_map_check_flag(tmp_path, capsys):
     assert json.loads(out) == {"stacks": [0, 0, 4, 4, 4, 4, 4], "fire_reflect": True}
 
 
+def test_map_round_trips_the_four_strip_example(tmp_path, capsys):
+    strips = {"strips": [[0, 2], [3, 2], [2, 4], [3, 2]]}
+    code, stacks, _ = invoke(["map", write_doc(tmp_path, "x.json", strips)], capsys)
+    assert code == 0
+    code, back, _ = invoke(["map", write_doc(tmp_path, "c.json", json.loads(stacks))], capsys)
+    assert (code, json.loads(back)) == (0, strips)
+
+
 def test_map_rejects_transient_stacks(tmp_path, capsys):
     p = write_doc(tmp_path, "c.json", {"stacks": [0, 2]})
     code, _, err = invoke(["map", p], capsys)
@@ -297,6 +333,61 @@ def test_documents_require_exact_integers(tmp_path, capsys, command, docs, field
     code, _, err = invoke([command, *paths, *steps], capsys)
     assert code == 2
     assert field in err
+
+
+@pytest.mark.parametrize(
+    "command, docs, line",
+    [
+        ("period", [{"family": "path"}, P5_CONFIG], "graph document missing field 'n'"),
+        ("period", [{"n": 5}, P5_CONFIG], "graph document missing field 'edges'"),
+        (
+            "period",
+            [{"n": 3, "edges": [[0, 1, 2]]}, {"stacks": [0, 1, 0]}],
+            "graph document: field 'edges': expected a list of [u, v] integer pairs",
+        ),
+        (
+            "period",
+            [{"n": 2, "edges": [[0, 2]]}, {"stacks": [0, 1]}],
+            "graph document: edge (0, 2): endpoint 2 out of range for 2 vertices",
+        ),
+        (
+            "period",
+            [{"family": "path", "n": 2, "edges": [[0, 1]]}, {"stacks": [0, 1]}],
+            "graph document has both 'family' and 'edges': give one",
+        ),
+        ("simulate", [P5_GRAPH, {}], "configuration document missing field 'stacks'"),
+        (
+            "simulate",
+            [P5_GRAPH, {"stacks": [0, 2, 0, 4, "1"]}],
+            "configuration document: field 'stacks': expected a list of integers",
+        ),
+        (
+            "period",
+            [P5_GRAPH, {"stacks": [0, 1, 2]}],
+            "configuration document: field 'stacks': "
+            "expected 5 values for a graph on 5 vertices, got 3",
+        ),
+        ("render", [{}], "polyomino document missing field 'strips'"),
+        (
+            "render",
+            [{"strips": [[1, 2, 3]]}],
+            "polyomino document: field 'strips': expected a list of [offset, length] integer pairs",
+        ),
+        ("render", [{"strips": [[0, 2], [4, 2]]}], "polyomino document: strips[1]: offset 4 outside 1..3"),
+        ("map", [{"strips": [[0, 2], [4, 2]]}], "polyomino document: strips[1]: offset 4 outside 1..3"),
+        ("map", [{"stacks": [0, 2.9]}], "input document: field 'stacks': expected a list of integers"),
+        ("map", [{"stacks": []}], "input document: field 'stacks': expected a nonempty list of integers"),
+        (
+            "map",
+            [{"strips": [[0, 1]], "stacks": [0]}],
+            "input document has both 'strips' and 'stacks': give one",
+        ),
+    ],
+)
+def test_document_errors_name_their_document_once(tmp_path, capsys, command, docs, line):
+    paths = [write_doc(tmp_path, f"doc{i}.json", doc) for i, doc in enumerate(docs)]
+    steps = ["--steps", "1"] if command == "simulate" else []
+    assert invoke([command, *paths, *steps], capsys) == (2, "", f"error: {line}\n")
 
 
 # --- count --------------------------------------------------------------------------
@@ -389,6 +480,11 @@ def test_count_brute_cap(capsys):
     code, _, err = invoke(["count", "--mode", "brute", "--n", "9"], capsys)
     assert code == 2
     assert "capped" in err
+    # refused before any scan: the scans for n = 1..8 alone take seconds
+    started = time.perf_counter()
+    code, out, err = invoke(["count", "--mode", "brute", "--upto", "9"], capsys)
+    assert time.perf_counter() - started < 1.0
+    assert (code, out, err) == (2, "", "error: --upto for mode 'brute' is capped at 8\n")
 
 
 # --- verify -------------------------------------------------------------------------
@@ -460,3 +556,50 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys):
     code, out, err = invoke(["map", p, "--out", str(missing)], capsys)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write output to {missing}: ")
+
+
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--n", "3", "--json"],
+        ["verify", "--max-unlabelled", "1", "--max-labelled", "1", "--max-reflect", "1"],
+    ],
+)
+def test_closed_stdout_exits_2_quietly(monkeypatch, capsys, argv):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(argv)
+    assert (code, capsys.readouterr().err) == (2, "")
+
+
+def boardpile_process(argv, stdout):
+    # a block-buffered stdout, as in an ordinary shell pipeline
+    src = str(Path(boardpile.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "boardpile", *argv]
+    return subprocess.Popen(command, stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def test_closed_stdout_pipe_exits_2_without_a_traceback():
+    # the reader takes one line of a 20,727-line stream and closes the pipe
+    with boardpile_process(["enumerate", "--n", "10", "--json"], subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert json.loads(first) == {"strips": [[0, 1]] + [[1, 1]] * 9}
+    assert (proc.returncode, err) == (2, b"")
+
+
+def test_pipe_closed_before_the_exit_flush_exits_2_without_a_traceback():
+    # the whole answer sits in the buffer until the interpreter would flush it at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with boardpile_process(["count", "--mode", "recurrence", "--n", "11"], write_end) as proc:
+        os.close(write_end)
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (2, b"")

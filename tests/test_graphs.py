@@ -3,14 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from boardpile.graphs import (
-    Graph,
-    complete,
-    cycle,
-    graph_from_document,
-    path,
-    star,
-)
+from boardpile.graphs import Graph, complete, cycle, path, star
 
 
 def test_complete_edge_counts():
@@ -117,23 +110,3 @@ def test_graphs_hashable_and_equal_by_structure():
     assert hash(complete(3)) == hash(cycle(3))
     assert complete(3) != complete(4)
 
-
-def test_document_round_trip():
-    doc = {"n": 4, "edges": [[0, 1], [2, 3], [1, 2]]}
-    assert graph_from_document(doc) == Graph(4, [(0, 1), (2, 3), (1, 2)])
-
-
-def test_document_family_form():
-    assert graph_from_document({"family": "complete", "n": 5}) == complete(5)
-    assert graph_from_document({"family": "path", "n": 3}) == path(3)
-    with pytest.raises(ValueError, match="family"):
-        graph_from_document({"family": "torus", "n": 3})
-    with pytest.raises(ValueError, match="'n'"):
-        graph_from_document({"family": "path"})
-
-
-def test_document_explicit_form_validation():
-    with pytest.raises(ValueError, match="edges"):
-        graph_from_document({"n": 3})
-    with pytest.raises(ValueError, match="edges"):
-        graph_from_document({"n": 3, "edges": [[0, 1, 2]]})

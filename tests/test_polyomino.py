@@ -5,15 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from boardpile.polyomino import (
     BoardPilePolyomino,
-    EmptyStripList,
-    FirstOffsetNonzero,
-    OffsetOutOfRange,
-    StripLengthNonpositive,
+    InvalidPolyomino,
     compositions,
     enumerate_board_pile,
     layout,
-    poly_from_document,
-    poly_to_document,
     reflect,
     render_ascii,
 )
@@ -97,29 +92,27 @@ def test_validate_domino():
 
 def test_validate_detached_strips_rejected():
     # offsets for lengths 2,2 may only run 1..3
-    with pytest.raises(OffsetOutOfRange) as exc:
+    with pytest.raises(InvalidPolyomino, match=r"strips\[1\]: offset 4 outside 1\.\.3"):
         BoardPilePolyomino([(0, 2), (4, 2)])
-    assert exc.value.index == 1
-    assert exc.value.high == 3
 
 
 def test_validate_zero_offset_above_bottom_rejected():
-    with pytest.raises(OffsetOutOfRange):
+    with pytest.raises(InvalidPolyomino, match=r"strips\[1\]: offset 0 outside 1\.\.3"):
         BoardPilePolyomino([(0, 2), (0, 2)])
 
 
 def test_validate_empty_rejected():
-    with pytest.raises(EmptyStripList):
+    with pytest.raises(InvalidPolyomino, match="strip list is empty"):
         BoardPilePolyomino([])
 
 
 def test_validate_first_offset_must_be_zero():
-    with pytest.raises(FirstOffsetNonzero):
+    with pytest.raises(InvalidPolyomino, match=r"strips\[0\]: offset 1 must be 0"):
         BoardPilePolyomino([(1, 2)])
 
 
 def test_validate_nonpositive_length_rejected():
-    with pytest.raises(StripLengthNonpositive):
+    with pytest.raises(InvalidPolyomino, match=r"strips\[0\]: length 0 must be positive"):
         BoardPilePolyomino([(0, 0)])
 
 
@@ -263,21 +256,6 @@ def test_render_no_trailing_whitespace_and_right_cell_count():
             text = render_ascii(x)
             assert all(line == line.rstrip() for line in text.splitlines())
             assert sum(line.count("#") for line in text.splitlines()) == n
-
-
-# --- documents --------------------------------------------------------------
-
-
-def test_document_round_trip():
-    x = BoardPilePolyomino(((0, 2), (3, 2), (2, 4), (3, 2)))
-    assert poly_from_document(poly_to_document(x)) == x
-
-
-def test_document_validation():
-    with pytest.raises(ValueError, match="strips"):
-        poly_from_document({})
-    with pytest.raises(ValueError, match="strips"):
-        poly_from_document({"strips": [[1, 2, 3]]})
 
 
 # --- compositions helper ----------------------------------------------------
