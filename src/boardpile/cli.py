@@ -25,6 +25,10 @@ from typing import Sequence
 
 from . import bijection, counting, diffusion, graphs, polyomino
 
+# verify's fire-reflect check walks every polyomino up to this many cells
+# (66,441 of them at 11, and about 3.2 times as many per cell beyond)
+_REFLECT_CAP = 11
+
 _FAMILIES = {
     "complete": graphs.complete,
     "cycle": graphs.cycle,
@@ -187,8 +191,12 @@ def _cmd_enumerate(args) -> int:
         total = sum(1 for _ in stream)
         sys.stdout.write(f"{total}\n")
     elif args.ascii:
-        blocks = [polyomino.render_ascii(x) for x in stream]
-        sys.stdout.write("\n\n".join(blocks) + "\n")
+        # each block goes out as it is drawn: a blank line between blocks
+        separator = ""
+        for x in stream:
+            sys.stdout.write(separator + polyomino.render_ascii(x))
+            separator = "\n\n"
+        sys.stdout.write("\n")
     else:
         for x in stream:
             sys.stdout.write(json.dumps(_strips_doc(x)) + "\n")
@@ -333,10 +341,11 @@ def _cmd_verify(args) -> int:
         raise InputError(f"--max-unlabelled must be in 1..{counting.UNLABELLED_CAP}")
     if not 1 <= args.max_labelled <= counting.LABELLED_CAP:
         raise InputError(f"--max-labelled must be in 1..{counting.LABELLED_CAP}")
-    if not 1 <= args.max_reflect <= 11:
-        raise InputError("--max-reflect must be in 1..11")
+    if not 1 <= args.max_reflect <= _REFLECT_CAP:
+        raise InputError(f"--max-reflect must be in 1..{_REFLECT_CAP}")
+    reference_n = len(counting.REFERENCE_COUNTS)
     checks = [
-        ("count-triple-agreement", lambda: verify_count_agreement(11)),
+        ("count-triple-agreement", lambda: verify_count_agreement(reference_n)),
         ("bijection-image", lambda: verify_image(args.max_unlabelled)),
         ("fire-reflect", lambda: verify_fire_reflect(args.max_reflect)),
         ("labelled-oracle", lambda: verify_labelled(args.max_labelled)),

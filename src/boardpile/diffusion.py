@@ -109,7 +109,7 @@ def _fire_raw(g: Graph, stacks: Config) -> Config:
 
 
 def _config_on(g: Graph, stacks: Sequence[int]) -> Config:
-    c = tuple(int(s) for s in stacks)
+    c = tuple(map(int, stacks))
     if len(c) != g.n:
         raise ValueError(f"configuration has {len(c)} stacks for a graph on {g.n} vertices")
     return c
@@ -132,7 +132,7 @@ def fire_complete(multiset: Iterable[int]) -> Config:
     Returns the sorted multiset after one step; equals sorting the result of
     fire() on K_n for any labelling of the input.
     """
-    values = tuple(int(v) for v in multiset)
+    values = tuple(map(int, multiset))
     if not values:
         raise ValueError("empty multiset")
     return tuple(sorted(_fire_rank(values)))
@@ -202,7 +202,7 @@ def detect_period(g: Graph, start: Sequence[int], max_steps: int = DEFAULT_MAX_S
 
 def normalize(stacks: Sequence[int]) -> Config:
     """Shift all stacks so the minimum becomes 0."""
-    c = tuple(int(s) for s in stacks)
+    c = tuple(map(int, stacks))
     if not c:
         raise ValueError("empty configuration")
     lo = min(c)

@@ -6,7 +6,8 @@ number of cells in the strip, and d is the distance from the left end of the
 strip below to the right end of this strip (measured on grid lines).  The
 bottom strip carries d = 0 by convention.  Two stacked strips share at least
 one cell edge exactly when 1 <= d <= length_below + length - 1, which is the
-validity test applied to every instance.
+validity test.  The public constructor applies it; enumerate_board_pile()
+and reflect() build strips that satisfy it by construction and skip it.
 """
 
 from __future__ import annotations
@@ -58,6 +59,13 @@ class BoardPilePolyomino:
         return len(self.strips)
 
 
+def _trusted(strips: tuple[Strip, ...]) -> BoardPilePolyomino:
+    # strips known valid and made of ints: bypass __post_init__'s coercion and check
+    x = object.__new__(BoardPilePolyomino)
+    object.__setattr__(x, "strips", strips)
+    return x
+
+
 def compositions(total: int) -> Iterator[tuple[int, ...]]:
     """Ordered sequences of positive integers summing to `total`, in
     lexicographic order: (1,1,1) before (1,2) before (2,1) before (3)."""
@@ -75,16 +83,17 @@ def enumerate_board_pile(n: int) -> Iterator[BoardPilePolyomino]:
     Strip lengths run over compositions of n in lexicographic order; for each
     composition the offsets sweep their valid ranges odometer-style, last
     offset fastest.  The stream is lazy since counts grow roughly as 3.2^n.
+    Every offset lies in its valid range by construction, so the objects are
+    built without the constructor's check.
     """
     if n < 1:
         raise ValueError("cell count must be at least 1")
     for lengths in compositions(n):
-        ranges = [
-            range(1, lengths[i - 1] + lengths[i]) for i in range(1, len(lengths))
-        ]
+        bottom = ((0, lengths[0]),)
+        above = lengths[1:]
+        ranges = [range(1, below + length) for below, length in zip(lengths, above)]
         for offsets in itertools.product(*ranges):
-            strips = ((0, lengths[0]),) + tuple(zip(offsets, lengths[1:]))
-            yield BoardPilePolyomino(strips)
+            yield _trusted(bottom + tuple(zip(offsets, above)))
 
 
 def layout(x: BoardPilePolyomino) -> tuple[tuple[int, int], ...]:
@@ -104,14 +113,18 @@ def layout(x: BoardPilePolyomino) -> tuple[tuple[int, int], ...]:
 
 
 def reflect(x: BoardPilePolyomino) -> BoardPilePolyomino:
-    """Mirror about the horizontal axis: row order reverses, columns stay."""
+    """Mirror about the horizontal axis: row order reverses, columns stay.
+
+    The mirror of a valid strip list is valid, so the result is built
+    without the constructor's check.
+    """
     strips = x.strips
     # strip k moves above strip k+1; the offsets of two stacked strips,
     # measured from below and from above, sum to l_k + l_{k+1}
     mirrored = [(0, strips[-1][1])]
     for k in range(len(strips) - 2, -1, -1):
         mirrored.append((strips[k][1] + strips[k + 1][1] - strips[k + 1][0], strips[k][1]))
-    return BoardPilePolyomino(tuple(mirrored))
+    return _trusted(tuple(mirrored))
 
 
 def render_ascii(x: BoardPilePolyomino) -> str:

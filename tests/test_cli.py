@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -192,6 +193,25 @@ def test_enumerate_ascii(capsys):
     code, out, _ = invoke(["enumerate", "--n", "2", "--ascii"], capsys)
     assert code == 0
     assert out == "#\n#\n\n##\n"
+
+
+def test_enumerate_ascii_streams_in_flat_memory(monkeypatch):
+    # n = 10 draws 20,727 blocks; joining them all before writing peaked
+    # near 2.6 MB, writing each as it is drawn stays under 0.1 MB
+    class Sink:
+        def write(self, text):
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    argv = ["enumerate", "--n", "10", "--ascii"]
+    main(argv)  # fill the interpreter's free lists first, or tracemalloc counts filling them
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 def test_enumerate_deterministic(capsys):

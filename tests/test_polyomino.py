@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from boardpile.polyomino import (
     BoardPilePolyomino,
     InvalidPolyomino,
+    _check_strips,
     compositions,
     enumerate_board_pile,
     layout,
@@ -75,6 +76,16 @@ def board_piles(draw):
         d = draw(st.integers(1, lengths[i - 1] + lengths[i] - 1))
         strips.append((d, lengths[i]))
     return BoardPilePolyomino(tuple(strips))
+
+
+def assert_valid_twin(x):
+    # enumerate_board_pile and reflect skip the constructor's check: their
+    # strips must pass it and build an equal object with the same hash
+    assert all(type(v) is int for strip in x.strips for v in strip)
+    _check_strips(x.strips)
+    twin = BoardPilePolyomino(x.strips)
+    assert twin == x
+    assert hash(twin) == hash(x)
 
 
 # --- validation ------------------------------------------------------------
@@ -157,9 +168,10 @@ def test_enumerate_rejects_zero():
 
 
 def test_enumerate_no_duplicates_and_all_valid():
-    for n in range(1, 8):
+    for n in range(1, 10):
         seen = set()
         for x in enumerate_board_pile(n):
+            assert_valid_twin(x)
             assert x.cells == n
             assert x.strips not in seen
             seen.add(x.strips)
@@ -190,8 +202,9 @@ def test_reflect_single_strip_identity():
 
 
 def test_reflect_is_involution_exhaustively():
-    for n in range(1, 9):
+    for n in range(1, 10):
         for x in enumerate_board_pile(n):
+            assert_valid_twin(reflect(x))
             assert reflect(reflect(x)) == x
 
 
@@ -206,6 +219,7 @@ def test_reflect_preserves_cells_and_length_multiset():
 @settings(deadline=None)
 @given(board_piles())
 def test_reflect_involution_property(x):
+    assert_valid_twin(reflect(x))
     assert reflect(reflect(x)) == x
 
 
