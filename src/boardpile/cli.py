@@ -21,7 +21,7 @@ import contextlib
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import bijection, counting, diffusion, graphs, polyomino
 
@@ -140,18 +140,53 @@ def _strips_doc(x: polyomino.BoardPilePolyomino) -> dict:
     return {"strips": x.strips}
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(chunks: Iterable[str], out_path: str | None) -> None:
+    """Write the chunks in order, each as soon as it is made."""
     if out_path and out_path != "-":
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                for chunk in chunks:
+                    fh.write(chunk)
         except OSError as exc:
             raise InputError(f"cannot write output to {out_path}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+
+
+def _stacks_block(c: Sequence[int], indent: str) -> str:
+    """{"stacks": c} as json.dumps(..., indent=2) lays it out at `indent`."""
+    if not c:
+        return f'{indent}{{\n{indent}  "stacks": []\n{indent}}}'
+    inner = f",\n{indent}    ".join(map(str, c))
+    return f'{indent}{{\n{indent}  "stacks": [\n{indent}    {inner}\n{indent}  ]\n{indent}}}'
 
 
 # --- subcommand handlers ---------------------------------------------------
+
+
+def _trajectory_text(trajectory: list, fmt: str) -> Iterator[str]:
+    # "json" is json.dumps(..., indent=2) of the {"stacks": ...} list, laid out
+    # here because json's indented encoder is pure Python.  run() fills the
+    # tail with the cycle's own tuples, so the texts of the last two tuples
+    # are kept and reused while they repeat.
+    if fmt == "csv":
+        head, sep, tail = "", "\n", "\n"
+    else:
+        head, sep, tail = "[\n", ",\n", "\n]\n"
+    recent: dict[int, str] = {}
+    yield head
+    for t, c in enumerate(trajectory):
+        text = recent.get(id(c))
+        if text is None:
+            text = ",".join(map(str, c)) if fmt == "csv" else _stacks_block(c, "  ")
+            if len(recent) == 2:
+                del recent[next(iter(recent))]
+            recent[id(c)] = text
+        if t:
+            yield sep
+        yield text
+    yield tail
 
 
 def _cmd_simulate(args) -> int:
@@ -160,11 +195,7 @@ def _cmd_simulate(args) -> int:
     if args.steps < 0:
         raise InputError("--steps must be nonnegative")
     trajectory = diffusion.run(g, stacks, args.steps)
-    if args.format == "csv":
-        text = "\n".join(",".join(str(s) for s in c) for c in trajectory) + "\n"
-    else:
-        text = json.dumps([{"stacks": list(c)} for c in trajectory], indent=2) + "\n"
-    _emit(text, args.out)
+    _emit(_trajectory_text(trajectory, args.format), args.out)
     return 0
 
 
@@ -174,12 +205,13 @@ def _cmd_period(args) -> int:
     if args.max_steps < 1:
         raise InputError("--max-steps must be at least 1")
     report = diffusion.detect_period(g, stacks, max_steps=args.max_steps)
-    doc = {
-        "preperiod": report.preperiod,
-        "period": report.period,
-        "configs": [{"stacks": list(c)} for c in report.period_configs],
-    }
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    # json.dumps(..., indent=2) of {"preperiod", "period", "configs"}
+    configs = ",\n".join(_stacks_block(c, "    ") for c in report.period_configs)
+    text = (
+        f'{{\n  "preperiod": {report.preperiod},\n  "period": {report.period},\n'
+        f'  "configs": [\n{configs}\n  ]\n}}\n'
+    )
+    _emit([text], args.out)
     return 0
 
 
@@ -227,7 +259,7 @@ def _cmd_map(args) -> int:
         raise InputError(f"{name} needs either 'strips' or 'stacks'")
     if args.check:
         out["fire_reflect"] = bijection.check_fire_reflect(x)
-    _emit(json.dumps(out, indent=2) + "\n", args.out)
+    _emit([json.dumps(out, indent=2) + "\n"], args.out)
     return 0 if out.get("fire_reflect", True) else 1
 
 
@@ -288,7 +320,7 @@ def _cmd_count(args) -> int:
         table = _count_table(args.mode, args.upto)
         with _unlimited_int_digits():
             text = "n,count\n" + "".join(f"{k},{v}\n" for k, v in enumerate(table, start=1))
-    _emit(text, args.out)
+    _emit([text], args.out)
     return 0
 
 

@@ -4,7 +4,9 @@ At every step each vertex simultaneously hands one chip to every strictly
 poorer neighbour and receives one chip from every strictly richer neighbour;
 equal neighbours exchange nothing.  Stack sizes may go negative.  Adding a
 constant to every stack never changes which chips move, and every trajectory
-eventually settles into a cycle of length 1 or 2.
+eventually settles into a cycle of length 1 or 2.  So run() fires
+min(steps, preperiod + period) times: once the cycle has closed, every later
+configuration repeats one of its tuples.
 
 One step on a graph with n vertices and m edges costs O(m) when the graph
 is sparse: every edge is visited.  When C(n,2) - m + 3n < m the graph
@@ -19,6 +21,7 @@ multiset, sorted afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle, islice
 from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import Graph
@@ -158,14 +161,26 @@ def orientation_of(g: Graph, stacks: Sequence[int]) -> Orientation:
 
 
 def run(g: Graph, start: Sequence[int], steps: int) -> list[Config]:
-    """Trajectory [C_0, C_1, ..., C_steps] from the given start."""
+    """Trajectory [C_0, C_1, ..., C_steps] from the given start.
+
+    Fires min(steps, preperiod + period) times.  Once C_t equals C_{t-1}
+    (period 1) or C_{t-2} (period 2) the cycle has closed: C_t and every
+    later entry are the cycle's own tuples repeated, one list slot per step.
+    """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    current = _config_on(g, start)
-    trajectory = [current]
-    for _ in range(steps):
-        current = _fire_raw(g, current)
-        trajectory.append(current)
+    trajectory = [_config_on(g, start)]
+    for t in range(1, steps + 1):
+        current = _fire_raw(g, trajectory[-1])
+        if current == trajectory[-1]:
+            members = trajectory[-1:]
+        elif t > 1 and current == trajectory[-2]:
+            members = trajectory[-2:]
+        else:
+            trajectory.append(current)
+            continue
+        trajectory.extend(islice(cycle(members), steps + 1 - t))
+        break
     return trajectory
 
 

@@ -12,6 +12,7 @@ import pytest
 import boardpile
 import boardpile.counting as counting
 from boardpile.cli import main
+from boardpile.graphs import Graph
 
 P5_GRAPH = {"family": "path", "n": 5}
 P5_CONFIG = {"stacks": [0, 2, 0, 4, 1]}
@@ -173,6 +174,99 @@ def test_period_budget_exhausted(tmp_path, capsys):
     assert "2 steps" in err
 
 
+def reference_trajectory(graph, stacks, steps):
+    g = Graph(graph["n"], graph["edges"])
+    trajectory = [tuple(stacks)]
+    for _ in range(steps):
+        trajectory.append(boardpile.fire(g, trajectory[-1]))
+    return trajectory
+
+
+P5_EXPLICIT = {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}
+C6_EXPLICIT = {"n": 6, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5]]}
+K5_EXPLICIT = {"n": 5, "edges": [[u, v] for u in range(5) for v in range(u + 1, 5)]}
+
+# graph, stacks and steps: no vertices, no steps, a flat fixed point, negative
+# stacks, and the two periods
+BYTE_CASES = [
+    ({"n": 0, "edges": []}, [], 3),
+    (P5_EXPLICIT, [0, 2, 0, 4, 1], 0),
+    (P5_EXPLICIT, [-4, -4, -4, -4, -4], 6),
+    (C6_EXPLICIT, [-3, 12, -40, 4, 0, -1], 40),
+    (K5_EXPLICIT, [3, 4, 4, 5, 5], 7),
+    (P5_EXPLICIT, [0, 2, 0, 4, 1], 12),
+]
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("graph, stacks, steps", BYTE_CASES)
+def test_simulate_bytes_equal_json_dumps(tmp_path, capsys, graph, stacks, steps, to_file):
+    g = write_doc(tmp_path, "g.json", graph)
+    c = write_doc(tmp_path, "c.json", {"stacks": stacks})
+    trajectory = reference_trajectory(graph, stacks, steps)
+    expected = {
+        "json": json.dumps([{"stacks": list(row)} for row in trajectory], indent=2) + "\n",
+        "csv": "\n".join(",".join(str(s) for s in row) for row in trajectory) + "\n",
+    }
+    for fmt, text in expected.items():
+        argv = ["simulate", g, c, "--steps", str(steps), "--format", fmt]
+        target = tmp_path / f"trajectory.{fmt}"
+        code, out, err = invoke(argv + ["--out", str(target)] if to_file else argv, capsys)
+        assert (code, err) == (0, "")
+        if to_file:
+            assert (target.read_text(encoding="utf-8"), out) == (text, "")
+        else:
+            assert out == text
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("graph, stacks, steps", BYTE_CASES)
+def test_period_bytes_equal_json_dumps(tmp_path, capsys, graph, stacks, steps, to_file):
+    g = write_doc(tmp_path, "g.json", graph)
+    c = write_doc(tmp_path, "c.json", {"stacks": stacks})
+    report = boardpile.detect_period(Graph(graph["n"], graph["edges"]), stacks)
+    doc = {
+        "preperiod": report.preperiod,
+        "period": report.period,
+        "configs": [{"stacks": list(row)} for row in report.period_configs],
+    }
+    expected = json.dumps(doc, indent=2) + "\n"
+    target = tmp_path / "period.json"
+    code, out, err = invoke(["period", g, c] + (["--out", str(target)] if to_file else []), capsys)
+    assert (code, err) == (0, "")
+    if to_file:
+        assert (target.read_text(encoding="utf-8"), out) == (expected, "")
+    else:
+        assert out == expected
+
+
+class Sink:
+    """A stdout that discards what it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_simulate_streams_in_one_slot_per_step(tmp_path, monkeypatch, fmt):
+    # 100,000 steps on P5: firing every step and joining the whole text
+    # peaked near 16 MB for csv and 108 MB for json; the cycle closes after 5
+    # firings, the rest is one list slot per step (0.8 MB), and each
+    # configuration's text is written as it is made
+    g = write_doc(tmp_path, "g.json", P5_GRAPH)
+    c = write_doc(tmp_path, "c.json", P5_CONFIG)
+    monkeypatch.setattr(sys, "stdout", Sink())
+    argv = ["simulate", g, c, "--steps", "100000", "--format", fmt]
+    main(argv)  # fill the interpreter's free lists first, or tracemalloc counts filling them
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
+
+
 # --- enumerate / render ----------------------------------------------------------
 
 
@@ -198,10 +292,6 @@ def test_enumerate_ascii(capsys):
 def test_enumerate_ascii_streams_in_flat_memory(monkeypatch):
     # n = 10 draws 20,727 blocks; joining them all before writing peaked
     # near 2.6 MB, writing each as it is drawn stays under 0.1 MB
-    class Sink:
-        def write(self, text):
-            return len(text)
-
     monkeypatch.setattr(sys, "stdout", Sink())
     argv = ["enumerate", "--n", "10", "--ascii"]
     main(argv)  # fill the interpreter's free lists first, or tracemalloc counts filling them
@@ -568,14 +658,21 @@ def test_unknown_subcommand_exits_2(capsys):
 
 
 def test_unwritable_out_path_exits_2(tmp_path, capsys):
-    code, out, err = invoke(["count", "--mode", "gf", "--n", "5", "--out", str(tmp_path)], capsys)
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: cannot write output to {tmp_path}: ")
     p = write_doc(tmp_path, "x.json", {"strips": [[0, 2]]})
+    g = write_doc(tmp_path, "g.json", P5_GRAPH)
+    c = write_doc(tmp_path, "c.json", P5_CONFIG)
     missing = tmp_path / "missing" / "x.json"
-    code, out, err = invoke(["map", p, "--out", str(missing)], capsys)
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: cannot write output to {missing}: ")
+    for argv, target in [
+        (["count", "--mode", "gf", "--n", "5"], tmp_path),
+        (["map", p], missing),
+        (["simulate", g, c, "--steps", "9"], tmp_path),
+        (["simulate", g, c, "--steps", "9", "--format", "csv"], missing),
+        (["period", g, c], tmp_path),
+        (["period", g, c], missing),
+    ]:
+        code, out, err = invoke(argv + ["--out", str(target)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write output to {target}: ")
 
 
 class ClosedPipe(io.StringIO):

@@ -217,6 +217,61 @@ def test_run_composes():
     assert whole == first + rest[1:]
 
 
+def reference_run(g, start, steps):
+    """C_0, ..., C_steps by firing every step, C_{t+1} = fire(C_t)."""
+    trajectory = [tuple(start)]
+    for _ in range(steps):
+        trajectory.append(fire(g, trajectory[-1]))
+    return trajectory
+
+
+@settings(deadline=None, max_examples=300)
+@given(graph_and_stacks(), st.integers(-3, 3))
+@example((path(2), (0, 2)), 0)  # period 1 after one step
+@example((path(2), (0, 2)), 4)
+@example((P5, P5_START), -1)  # period 2 after three steps
+@example((P5, P5_START), 0)
+@example((P5, P5_START), 3)
+@example((complete(5), (3, 4, 4, 5, 5)), 1)  # period 2 from the start
+@example((Graph(0), ()), 2)
+def test_run_matches_firing_every_step(gs, offset):
+    # steps below, at and past the step preperiod + period that closes the cycle
+    g, stacks = gs
+    report = reference_detect_period(g, stacks)
+    closes = report.preperiod + report.period
+    steps = max(0, closes + offset)
+    trajectory = run(g, stacks, steps)
+    assert trajectory == reference_run(g, stacks, steps)
+    # past the close, the tail repeats the cycle's own tuples
+    for t in range(closes, steps + 1):
+        assert trajectory[t] is trajectory[t - report.period]
+
+
+def sparse_start(seed, n=300, m=1500):
+    rng = random.Random(seed)
+    pairs = set()
+    while len(pairs) < m:
+        u, v = rng.sample(range(n), 2)
+        pairs.add((min(u, v), max(u, v)))
+    return Graph(n, sorted(pairs)), tuple(rng.randint(-3, 3) for _ in range(n))
+
+
+@pytest.mark.parametrize(
+    "g, stacks, steps",
+    [(P5, P5_START, 100_000), (path(2), (0, 2), 100_000), (*sparse_start(0), 1_000)],
+)
+def test_run_stops_firing_once_the_cycle_closes(fire_audit, g, stacks, steps):
+    assert g.missing_pairs is None  # one audited call per step on the edge loop
+    report = detect_period(g, stacks)
+    closes = report.preperiod + report.period
+    assert closes < steps
+    before = fire_audit.calls
+    trajectory = run(g, stacks, steps)
+    assert fire_audit.calls - before == closes
+    assert len(trajectory) == steps + 1
+    assert trajectory[-1] == report.period_configs[(steps - report.preperiod) % report.period]
+
+
 # --- detect_period ---------------------------------------------------------
 
 
