@@ -19,10 +19,8 @@ from .counting import (
     asymptotic_estimate,
     brute_force_labelled,
     brute_force_period_multisets,
-    brute_force_unlabelled,
     characteristic_roots,
     gf_coefficients,
-    labelled_period_count,
     labelled_period_counts,
     recurrence_counts,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "asymptotic_estimate",
     "brute_force_labelled",
     "brute_force_period_multisets",
-    "brute_force_unlabelled",
     "characteristic_roots",
     "check_fire_reflect",
     "complete",
@@ -78,7 +75,6 @@ __all__ = [
     "fire_complete",
     "gf_coefficients",
     "is_period_config",
-    "labelled_period_count",
     "labelled_period_counts",
     "layout",
     "normalize",

@@ -21,6 +21,7 @@ import contextlib
 import json
 import os
 import sys
+from itertools import cycle, islice
 from typing import Iterable, Iterator, Sequence
 
 from . import bijection, counting, diffusion, graphs, polyomino
@@ -140,6 +141,22 @@ def _strips_doc(x: polyomino.BoardPilePolyomino) -> dict:
     return {"strips": x.strips}
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    # Exact counts and stacks outgrow the interpreter's int->str digit limit
+    # (4300 digits by default); lift it only while writing them, never while
+    # parsing input.
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def _emit(chunks: Iterable[str], out_path: str | None) -> None:
     """Write the chunks in order, each as soon as it is made."""
     if out_path and out_path != "-":
@@ -165,27 +182,27 @@ def _stacks_block(c: Sequence[int], indent: str) -> str:
 # --- subcommand handlers ---------------------------------------------------
 
 
-def _trajectory_text(trajectory: list, fmt: str) -> Iterator[str]:
+def _trajectory_text(g: graphs.Graph, stacks: tuple, steps: int, fmt: str) -> Iterator[str]:
     # "json" is json.dumps(..., indent=2) of the {"stacks": ...} list, laid out
-    # here because json's indented encoder is pure Python.  run() fills the
-    # tail with the cycle's own tuples, so the texts of the last two tuples
-    # are kept and reused while they repeat.
+    # here because json's indented encoder is pure Python.  Each row is written
+    # as it is fired; once the cycle closes, the rest cycles through its rows.
     if fmt == "csv":
         head, sep, tail = "", "\n", "\n"
     else:
         head, sep, tail = "[\n", ",\n", "\n]\n"
-    recent: dict[int, str] = {}
-    yield head
-    for t, c in enumerate(trajectory):
-        text = recent.get(id(c))
-        if text is None:
+    orbit = diffusion._orbit(g, stacks)
+    texts: list[str] = []  # the last two rows
+    gap = head
+    try:
+        for t in range(steps + 1):
+            c = next(orbit)
             text = ",".join(map(str, c)) if fmt == "csv" else _stacks_block(c, "  ")
-            if len(recent) == 2:
-                del recent[next(iter(recent))]
-            recent[id(c)] = text
-        if t:
-            yield sep
-        yield text
+            texts = [*texts[-1:], text]
+            yield gap + text
+            gap = sep
+    except StopIteration as closed:
+        rows = [sep + text for text in texts[-len(closed.value) :]]
+        yield from islice(cycle(rows), steps + 1 - t)
     yield tail
 
 
@@ -194,8 +211,8 @@ def _cmd_simulate(args) -> int:
     stacks = _load_stacks(args.config, g)
     if args.steps < 0:
         raise InputError("--steps must be nonnegative")
-    trajectory = diffusion.run(g, stacks, args.steps)
-    _emit(_trajectory_text(trajectory, args.format), args.out)
+    with _unlimited_int_digits():
+        _emit(_trajectory_text(g, stacks, args.steps, args.format), args.out)
     return 0
 
 
@@ -205,13 +222,14 @@ def _cmd_period(args) -> int:
     if args.max_steps < 1:
         raise InputError("--max-steps must be at least 1")
     report = diffusion.detect_period(g, stacks, max_steps=args.max_steps)
-    # json.dumps(..., indent=2) of {"preperiod", "period", "configs"}
-    configs = ",\n".join(_stacks_block(c, "    ") for c in report.period_configs)
-    text = (
-        f'{{\n  "preperiod": {report.preperiod},\n  "period": {report.period},\n'
-        f'  "configs": [\n{configs}\n  ]\n}}\n'
-    )
-    _emit([text], args.out)
+    with _unlimited_int_digits():
+        # json.dumps(..., indent=2) of {"preperiod", "period", "configs"}
+        configs = ",\n".join(_stacks_block(c, "    ") for c in report.period_configs)
+        text = (
+            f'{{\n  "preperiod": {report.preperiod},\n  "period": {report.period},\n'
+            f'  "configs": [\n{configs}\n  ]\n}}\n'
+        )
+        _emit([text], args.out)
     return 0
 
 
@@ -263,21 +281,6 @@ def _cmd_map(args) -> int:
     return 0 if out.get("fire_reflect", True) else 1
 
 
-@contextlib.contextmanager
-def _unlimited_int_digits():
-    # Exact counts outgrow the interpreter's int->str digit limit (4300 digits
-    # by default); lift it only while formatting them, never while parsing input.
-    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
-        yield
-        return
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(previous)
-
-
 def _count_table(mode: str, upto: int) -> list[int]:
     # the recurrence, the series and the transfer matrix each build a whole table anyway
     if mode == "recurrence":
@@ -292,16 +295,14 @@ def _count_table(mode: str, upto: int) -> list[int]:
 def _count_one(mode: str, n: int) -> int:
     if n < 1:
         raise InputError("--n must be at least 1")
-    if mode in ("recurrence", "gf"):
+    if mode in ("recurrence", "gf", "labelled"):
         return _count_table(mode, n)[-1]
     if mode == "enumerate":
         return sum(1 for _ in polyomino.enumerate_board_pile(n))
     if mode == "brute":
         if n > counting.UNLABELLED_CAP:
             raise InputError(f"--n for mode 'brute' is capped at {counting.UNLABELLED_CAP}")
-        return counting.brute_force_unlabelled(n)
-    if mode == "labelled":
-        return counting.labelled_period_count(n)
+        return len(counting.brute_force_period_multisets(n))
     raise InputError(f"unknown mode {mode!r}")
 
 
@@ -360,8 +361,7 @@ def verify_fire_reflect(cells_max: int) -> tuple[bool, str]:
 
 def verify_labelled(n_max: int) -> tuple[bool, str]:
     """The labelled transfer-matrix count equals the labelled scan for n=1..n_max."""
-    for n in range(1, n_max + 1):
-        formula = counting.labelled_period_count(n)
+    for n, formula in enumerate(counting.labelled_period_counts(n_max), start=1):
         oracle = counting.brute_force_labelled(n)
         if formula != oracle:
             return False, f"n={n}: formula {formula} vs scan {oracle}"

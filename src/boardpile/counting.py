@@ -179,16 +179,6 @@ def labelled_period_counts(n_max: int) -> list[int]:
     return totals[1:]
 
 
-def labelled_period_count(n: int) -> int:
-    """Number of periodic stack assignments on n labelled vertices, min 0.
-
-    The last entry of the transfer-matrix count `labelled_period_counts(n)`.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return labelled_period_counts(n)[-1]
-
-
 # --- brute-force oracles ---------------------------------------------------
 #
 # A normalized periodic multiset has minimum 0 and maximum < 2n (the gaps
@@ -212,11 +202,6 @@ def brute_force_period_multisets(n: int) -> list[tuple[int, ...]]:
         if fire_complete(fire_complete(ms)) == ms:
             found.append(ms)
     return found
-
-
-def brute_force_unlabelled(n: int) -> int:
-    """Count normalized periodic multisets on n vertices by exhaustive scan."""
-    return len(brute_force_period_multisets(n))
 
 
 def brute_force_labelled(n: int) -> int:

@@ -4,9 +4,12 @@ At every step each vertex simultaneously hands one chip to every strictly
 poorer neighbour and receives one chip from every strictly richer neighbour;
 equal neighbours exchange nothing.  Stack sizes may go negative.  Adding a
 constant to every stack never changes which chips move, and every trajectory
-eventually settles into a cycle of length 1 or 2.  So run() fires
-min(steps, preperiod + period) times: once the cycle has closed, every later
-configuration repeats one of its tuples.
+eventually settles into a cycle of length 1 or 2.  So one loop, _orbit(),
+fires every trajectory until C_t equals C_{t-1} or C_{t-2}, holding two
+configurations and a checkpoint that raises PeriodNotOneOrTwo on any longer
+cycle.  run() fires min(steps, preperiod + period) times and repeats the
+cycle's tuples after the close, detect_period() puts a step budget around the
+loop, and `boardpile simulate` streams it in O(n) memory for any step count.
 
 One step on a graph with n vertices and m edges costs O(m) when the graph
 is sparse: every edge is visited.  When C(n,2) - m + 3n < m the graph
@@ -21,8 +24,8 @@ multiset, sorted afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle, islice
-from typing import Iterable, NamedTuple, Sequence
+from itertools import count, cycle, islice
+from typing import Generator, Iterable, NamedTuple, Sequence
 
 from .graphs import Graph
 
@@ -160,27 +163,51 @@ def orientation_of(g: Graph, stacks: Sequence[int]) -> Orientation:
     return Orientation(frozenset(arcs), frozenset(flat))
 
 
+def _orbit(g: Graph, start: Config) -> Generator[Config, None, tuple[Config, ...]]:
+    """Yield C_0, C_1, ... from the configuration `start` until the cycle closes.
+
+    At the first t with C_t = C_{t-1} or C_t = C_{t-2}, return the cycle's
+    members as yielded, in firing order, instead of C_t.  Holds two
+    configurations and a checkpoint moved at steps 1, 2, 4, 8, ... (Brent's
+    cycle finder), which catches any longer cycle: PeriodNotOneOrTwo.
+    """
+    before, previous = None, start
+    checkpoint, checkpoint_t = start, 0
+    yield start
+    for t in count(1):
+        current = _fire_raw(g, previous)
+        if current == previous:
+            return (previous,)
+        if current == before:
+            return (before, previous)
+        if current == checkpoint:
+            raise PeriodNotOneOrTwo(
+                f"configuration repeated with cycle length {t - checkpoint_t}; "
+                "the firing rule admits only 1 or 2"
+            )
+        if t & (t - 1) == 0:
+            checkpoint, checkpoint_t = current, t
+        yield current
+        before, previous = previous, current
+
+
 def run(g: Graph, start: Sequence[int], steps: int) -> list[Config]:
     """Trajectory [C_0, C_1, ..., C_steps] from the given start.
 
     Fires min(steps, preperiod + period) times.  Once C_t equals C_{t-1}
     (period 1) or C_{t-2} (period 2) the cycle has closed: C_t and every
     later entry are the cycle's own tuples repeated, one list slot per step.
+    Raises PeriodNotOneOrTwo if the trajectory reaches a longer cycle.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    trajectory = [_config_on(g, start)]
-    for t in range(1, steps + 1):
-        current = _fire_raw(g, trajectory[-1])
-        if current == trajectory[-1]:
-            members = trajectory[-1:]
-        elif t > 1 and current == trajectory[-2]:
-            members = trajectory[-2:]
-        else:
-            trajectory.append(current)
-            continue
-        trajectory.extend(islice(cycle(members), steps + 1 - t))
-        break
+    orbit = _orbit(g, _config_on(g, start))
+    trajectory: list[Config] = []
+    try:
+        while len(trajectory) <= steps:
+            trajectory.append(next(orbit))
+    except StopIteration as closed:
+        trajectory.extend(islice(cycle(closed.value), steps + 1 - len(trajectory)))
     return trajectory
 
 
@@ -190,28 +217,19 @@ def detect_period(g: Graph, start: Sequence[int], max_steps: int = DEFAULT_MAX_S
     Cycles have length 1 or 2, so the least preperiod is the first t with
     C_{t+1} = C_t (period 1) or else C_{t+2} = C_t (period 2); only the last
     two configurations are held, O(n) memory.  Raises NoRepeatWithinBudget
-    if nothing repeats within max_steps firings.  A checkpoint moved at steps
-    1, 2, 4, 8, ... (Brent's cycle finder) guards against a broken engine: it
-    catches any longer cycle and raises PeriodNotOneOrTwo with its length.
+    if nothing repeats within max_steps firings, and PeriodNotOneOrTwo with
+    its length if the trajectory reaches a longer cycle.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    before, previous = None, _config_on(g, start)
-    checkpoint, checkpoint_t = previous, 0
-    for t in range(1, max_steps + 1):
-        current = _fire_raw(g, previous)
-        if current == previous:
-            return PeriodReport(preperiod=t - 1, period=1, period_configs=(current,))
-        if current == before:
-            return PeriodReport(preperiod=t - 2, period=2, period_configs=(before, previous))
-        if current == checkpoint:
-            raise PeriodNotOneOrTwo(
-                f"configuration repeated with cycle length {t - checkpoint_t}; "
-                "the firing rule admits only 1 or 2"
-            )
-        if t & (t - 1) == 0:
-            checkpoint, checkpoint_t = current, t
-        before, previous = previous, current
+    orbit = _orbit(g, _config_on(g, start))
+    # taking C_t costs the t-th firing; the one that closes the cycle stops it
+    for t in range(max_steps + 1):
+        try:
+            next(orbit)
+        except StopIteration as closed:
+            members = closed.value
+            return PeriodReport(t - len(members), len(members), members)
     raise NoRepeatWithinBudget(f"no repeated configuration within {max_steps} steps")
 
 

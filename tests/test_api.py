@@ -16,6 +16,8 @@ REMOVED = (
     "equivalent",
     "validate",
     "CompleteConfig",
+    "labelled_period_count",
+    "brute_force_unlabelled",
 )
 
 

@@ -13,6 +13,7 @@ import boardpile
 import boardpile.counting as counting
 from boardpile.cli import main
 from boardpile.graphs import Graph
+from test_diffusion import sparse_start
 
 P5_GRAPH = {"family": "path", "n": 5}
 P5_CONFIG = {"stacks": [0, 2, 0, 4, 1]}
@@ -249,14 +250,13 @@ class Sink:
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_simulate_streams_in_one_slot_per_step(tmp_path, monkeypatch, fmt):
-    # 100,000 steps on P5: firing every step and joining the whole text
-    # peaked near 16 MB for csv and 108 MB for json; the cycle closes after 5
-    # firings, the rest is one list slot per step (0.8 MB), and each
-    # configuration's text is written as it is made
+    # 1,000,000 steps on P5: a list with one slot per step would alone take
+    # 8 MB; the cycle closes after 5 firings, each row is written as it is
+    # fired, and the rest cycles through the two cycle rows
     g = write_doc(tmp_path, "g.json", P5_GRAPH)
     c = write_doc(tmp_path, "c.json", P5_CONFIG)
     monkeypatch.setattr(sys, "stdout", Sink())
-    argv = ["simulate", g, c, "--steps", "100000", "--format", fmt]
+    argv = ["simulate", g, c, "--steps", "1000000", "--format", fmt]
     main(argv)  # fill the interpreter's free lists first, or tracemalloc counts filling them
     tracemalloc.start()
     try:
@@ -265,6 +265,58 @@ def test_simulate_streams_in_one_slot_per_step(tmp_path, monkeypatch, fmt):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 1024 * 1024
+
+
+@pytest.mark.parametrize("g, stacks", [(boardpile.path(5), P5_CONFIG["stacks"]), sparse_start(0)])
+def test_simulate_fires_only_up_to_the_close(tmp_path, monkeypatch, fire_audit, g, stacks):
+    assert g.missing_pairs is None  # one audited call per step on the edge loop
+    report = boardpile.detect_period(g, stacks)
+    gpath = write_doc(tmp_path, "g.json", {"n": g.n, "edges": [list(e) for e in g.edges]})
+    cpath = write_doc(tmp_path, "c.json", {"stacks": list(stacks)})
+    monkeypatch.setattr(sys, "stdout", Sink())
+    before = fire_audit.calls
+    assert main(["simulate", gpath, cpath, "--steps", "100000"]) == 0
+    assert fire_audit.calls - before == report.preperiod + report.period
+
+
+# a star whose stacks are accepted on input (4300 digits) and outgrow the
+# int->str digit limit after one step
+BIG_STAR = ({"n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}, [10**4300 - 2] + [10**4300 - 1] * 3)
+
+
+def dumps_unlimited(doc):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(doc, indent=2) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_simulate_writes_stacks_past_the_digit_limit(tmp_path, capsys):
+    graph, stacks = BIG_STAR
+    g = write_doc(tmp_path, "g.json", graph)
+    c = write_doc(tmp_path, "c.json", {"stacks": stacks})
+    trajectory = reference_trajectory(graph, stacks, 2)
+    expected = dumps_unlimited([{"stacks": list(row)} for row in trajectory])
+    limit = sys.get_int_max_str_digits()
+    assert invoke(["simulate", g, c, "--steps", "2"], capsys) == (0, expected, "")
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_period_writes_stacks_past_the_digit_limit(tmp_path, capsys):
+    graph, stacks = BIG_STAR
+    g = write_doc(tmp_path, "g.json", graph)
+    c = write_doc(tmp_path, "c.json", {"stacks": stacks})
+    report = boardpile.detect_period(Graph(graph["n"], graph["edges"]), stacks)
+    doc = {
+        "preperiod": report.preperiod,
+        "period": report.period,
+        "configs": [{"stacks": list(row)} for row in report.period_configs],
+    }
+    limit = sys.get_int_max_str_digits()
+    assert invoke(["period", g, c], capsys) == (0, dumps_unlimited(doc), "")
+    assert sys.get_int_max_str_digits() == limit
 
 
 # --- enumerate / render ----------------------------------------------------------
@@ -563,7 +615,7 @@ def test_count_labelled_large_n(capsys):
     assert code == 0, err
     count = json.loads(out)["count"]
     assert len(count) >= 200
-    assert int(count) == counting.labelled_period_count(120)
+    assert int(count) == counting.labelled_period_counts(120)[-1]
 
 
 def test_count_beyond_int_digit_limit(capsys):

@@ -12,10 +12,8 @@ from boardpile.counting import (
     asymptotic_estimate,
     brute_force_labelled,
     brute_force_period_multisets,
-    brute_force_unlabelled,
     characteristic_roots,
     gf_coefficients,
-    labelled_period_count,
     labelled_period_counts,
     recurrence_counts,
 )
@@ -192,40 +190,36 @@ def test_multinomial_checks_part_sum():
 
 
 def test_labelled_count_small_values():
-    assert labelled_period_count(1) == 1
-    assert labelled_period_count(2) == 3
-    assert labelled_period_count(3) == 19
-    assert labelled_period_count(4) == 163
+    assert labelled_period_counts(4) == [1, 3, 19, 163]
 
 
 def test_labelled_count_matches_composition_sum():
-    for n in range(1, 15):
-        assert labelled_period_count(n) == reference_labelled_count(n)
+    for n, count in enumerate(labelled_period_counts(14), start=1):
+        assert count == reference_labelled_count(n)
 
 
 def test_labelled_table_matches_single_counts():
     table = labelled_period_counts(60)
     assert len(table) == 60
     for k in range(1, 61):
-        assert table[k - 1] == labelled_period_count(k)
+        assert table[k - 1] == labelled_period_counts(k)[-1]
 
 
 def test_labelled_count_pinned_values():
     # n = 20 also from the composition sum, both from an independent transfer-matrix loop
-    assert labelled_period_count(20) == 2967469729812361405273579
-    assert labelled_period_count(24) == 15568920295794314572713856804199
+    table = labelled_period_counts(24)
+    assert table[19] == 2967469729812361405273579
+    assert table[23] == 15568920295794314572713856804199
 
 
 def test_labelled_count_rejects_zero():
-    with pytest.raises(ValueError):
-        labelled_period_count(0)
     with pytest.raises(ValueError):
         labelled_period_counts(0)
 
 
 def test_labelled_count_matches_brute_force():
-    for n in range(1, LABELLED_CAP + 1):
-        assert labelled_period_count(n) == brute_force_labelled(n)
+    for n, count in enumerate(labelled_period_counts(LABELLED_CAP), start=1):
+        assert count == brute_force_labelled(n)
 
 
 def test_brute_force_labelled_k2_vectors():
@@ -255,22 +249,23 @@ def test_brute_force_multisets_k3():
         (0, 2, 2),
         (0, 1, 2),
     }
-    assert brute_force_unlabelled(3) == 6
+    assert len(brute_force_period_multisets(3)) == 6
 
 
 def test_brute_force_counts_match_recurrence():
     counts = recurrence_counts(6)
     for n in range(1, 7):
-        assert brute_force_unlabelled(n) == counts[n - 1]
+        assert len(brute_force_period_multisets(n)) == counts[n - 1]
 
 
 def test_brute_force_caps():
     with pytest.raises(ValueError, match="cap"):
-        brute_force_unlabelled(UNLABELLED_CAP + 1)
+        brute_force_period_multisets(UNLABELLED_CAP + 1)
     with pytest.raises(ValueError, match="cap"):
         brute_force_labelled(LABELLED_CAP + 1)
     # just under the cap the scan runs, and agrees with the recurrence
-    assert brute_force_unlabelled(UNLABELLED_CAP - 1) == recurrence_counts(UNLABELLED_CAP - 1)[-1]
+    below = UNLABELLED_CAP - 1
+    assert len(brute_force_period_multisets(below)) == recurrence_counts(below)[-1]
 
 
 def test_brute_force_multisets_are_normalized_and_sorted():

@@ -311,6 +311,9 @@ def test_detect_period_surfaces_longer_cycles(monkeypatch):
     monkeypatch.setattr(diffusion, "_fire_raw", lambda g, c: c[1:] + c[:1])
     with pytest.raises(PeriodNotOneOrTwo):
         detect_period(complete(3), (0, 1, 2))
+    # the same guard covers every trajectory
+    with pytest.raises(PeriodNotOneOrTwo, match="cycle length 3"):
+        run(complete(3), (0, 1, 2), 100)
 
 
 def test_detect_period_rejects_bad_budget():
