@@ -20,8 +20,10 @@ from .counting import (
     brute_force_labelled,
     brute_force_period_multisets,
     characteristic_roots,
+    gf_coefficient,
     gf_coefficients,
     labelled_period_counts,
+    recurrence_count,
     recurrence_counts,
 )
 from .diffusion import (
@@ -73,6 +75,7 @@ __all__ = [
     "enumerate_board_pile",
     "fire",
     "fire_complete",
+    "gf_coefficient",
     "gf_coefficients",
     "is_period_config",
     "labelled_period_counts",
@@ -81,6 +84,7 @@ __all__ = [
     "orientation_of",
     "path",
     "poly_to_config",
+    "recurrence_count",
     "recurrence_counts",
     "reflect",
     "render_ascii",

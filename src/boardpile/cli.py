@@ -264,20 +264,23 @@ def _cmd_map(args) -> int:
     doc = _read_document(args.document, name)
     if "strips" in doc and "stacks" in doc:
         raise InputError(f"{name} has both 'strips' and 'stacks': give one")
-    if "strips" in doc:
-        x = _polyomino(doc)
-        out = {"stacks": list(bijection.poly_to_config(x))}
-    elif "stacks" in doc:
-        stacks = _integers(doc, name, "stacks")
-        if not stacks:
-            raise InputError(f"{name}: field 'stacks': expected a nonempty list of integers")
-        x = bijection.config_to_poly(diffusion.normalize(stacks))
-        out = _strips_doc(x)
-    else:
-        raise InputError(f"{name} needs either 'strips' or 'stacks'")
-    if args.check:
-        out["fire_reflect"] = bijection.check_fire_reflect(x)
-    _emit([json.dumps(out, indent=2) + "\n"], args.out)
+    # normalizing and mapping can outgrow the digit limit, in the output or
+    # in an error message that names the values
+    with _unlimited_int_digits():
+        if "strips" in doc:
+            x = _polyomino(doc)
+            out = {"stacks": list(bijection.poly_to_config(x))}
+        elif "stacks" in doc:
+            stacks = _integers(doc, name, "stacks")
+            if not stacks:
+                raise InputError(f"{name}: field 'stacks': expected a nonempty list of integers")
+            x = bijection.config_to_poly(diffusion.normalize(stacks))
+            out = _strips_doc(x)
+        else:
+            raise InputError(f"{name} needs either 'strips' or 'stacks'")
+        if args.check:
+            out["fire_reflect"] = bijection.check_fire_reflect(x)
+        _emit([json.dumps(out, indent=2) + "\n"], args.out)
     return 0 if out.get("fire_reflect", True) else 1
 
 
@@ -295,8 +298,12 @@ def _count_table(mode: str, upto: int) -> list[int]:
 def _count_one(mode: str, n: int) -> int:
     if n < 1:
         raise InputError("--n must be at least 1")
-    if mode in ("recurrence", "gf", "labelled"):
-        return _count_table(mode, n)[-1]
+    if mode == "recurrence":
+        return counting.recurrence_count(n)
+    if mode == "gf":
+        return counting.gf_coefficient(n)
+    if mode == "labelled":
+        return counting.labelled_period_counts(n)[-1]
     if mode == "enumerate":
         return sum(1 for _ in polyomino.enumerate_board_pile(n))
     if mode == "brute":
@@ -329,11 +336,13 @@ def _cmd_count(args) -> int:
 
 
 def verify_count_agreement(n_max: int) -> tuple[bool, str]:
-    """Recurrence, series and enumeration agree with the reference table for n=1..n_max."""
+    """Recurrence, series, top-block count and enumeration agree with the
+    reference table for n=1..n_max."""
     rec = counting.recurrence_counts(n_max)
     gf = counting.gf_coefficients(n_max)
+    blocks = counting._top_block_counts(n_max, labelled=False)
     enum = [sum(1 for _ in polyomino.enumerate_board_pile(k)) for k in range(1, n_max + 1)]
-    ok = rec == gf == enum and tuple(rec) == counting.REFERENCE_COUNTS[:n_max]
+    ok = rec == gf == blocks == enum and tuple(rec) == counting.REFERENCE_COUNTS[:n_max]
     detail = f"n=1..{n_max}: " + ", ".join(str(v) for v in rec)
     return ok, detail
 

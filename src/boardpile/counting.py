@@ -4,10 +4,16 @@ The number of distinct periodic multisets on n vertices satisfies
 a(n) = 5a(n-1) - 7a(n-2) + 4a(n-3) with a(1..4) = 1, 2, 6, 19, has ordinary
 generating function x(1-x)^3 / (1 - 5x + 7x^2 - 4x^3), and grows like
 C * r^n where r ~ 3.2056 is the one real root of x^3 - 5x^2 + 7x - 4.
+A table a(1..n) costs O(n^2) digit operations.  A single a(n) takes
+O(log n) multiplications of integers of O(n) digits, either as a power of
+the recurrence's companion matrix or as [x^n] of the generating function by
+Bostan and Mori's halving, so its cost is that of big-integer multiplication.
 Labelled counts come from a transfer-matrix count over the size of the top
-block.  Everything integral is computed in exact big-integer arithmetic;
-floats appear only on the asymptotic side.  Brute-force scans over small
-complete graphs act as independent oracles for both counts.
+block; the same count without the binomial factor is a further, independent
+count of the unlabelled states.  Everything integral is computed in exact
+big-integer arithmetic; floats appear only on the asymptotic side.
+Brute-force scans over small complete graphs act as independent oracles for
+both counts.
 """
 
 from __future__ import annotations
@@ -59,6 +65,65 @@ def gf_coefficients(n_max: int) -> list[int]:
             c += 4 * series[k - 3]
         series[k] = c
     return series[1:]
+
+
+def recurrence_count(n: int) -> int:
+    """a(n) alone, by a power of the recurrence's 3x3 companion matrix.
+
+    (a(k+1), a(k), a(k-1)) is the matrix ((5, -7, 4), (1, 0, 0), (0, 1, 0))
+    applied to (a(k), a(k-1), a(k-2)), so its (n-4)-th power takes the seeds
+    (19, 6, 2) to a(n).  Repeated squaring needs O(log n) matrix products.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n <= 4:
+        return _SEEDS[n - 1]
+    step = ((5, -7, 4), (1, 0, 0), (0, 1, 0))
+    power = step
+    # left to right over the exponent's bits: square, then one cheap product by step
+    for bit in bin(n - 4)[3:]:
+        power = _matrix_product(power, power)
+        if bit == "1":
+            power = _matrix_product(power, step)
+    return sum(m * seed for m, seed in zip(power[0], _SEEDS[:0:-1]))
+
+
+def _matrix_product(a, b):
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in columns) for row in a)
+
+
+def gf_coefficient(n: int) -> int:
+    """[x^n] of x(1-x)^3 / (1 - 5x + 7x^2 - 4x^3) alone, by Bostan and Mori's halving.
+
+    [x^n] P(x)/Q(x) equals [x^n] P(x)Q(-x) / Q(x)Q(-x), whose denominator is
+    even: keeping the numerator's terms of the parity of n and the
+    denominator's even terms, both as series in x^2, leaves the same question
+    for n // 2.  Q(0) stays 1, so after O(log n) steps the answer is P(0).
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    numerator = [0, 1, -3, 3, -1]  # x(1-x)^3 expanded
+    denominator = [1, -5, 7, -4]
+    while True:
+        # terms past x^n cannot reach [x^n]; dropping them keeps the last and
+        # largest steps from multiplying coefficients that only cancel
+        numerator, denominator = numerator[: n + 1], denominator[: n + 1]
+        mirrored = [-c if i % 2 else c for i, c in enumerate(denominator)]
+        numerator = _product_terms(numerator, mirrored, n % 2)
+        n //= 2
+        if n == 0:
+            return numerator[0]
+        denominator = _product_terms(denominator, mirrored, 0)
+
+
+def _product_terms(a: list[int], b: list[int], parity: int) -> list[int]:
+    # the coefficients of x^parity, x^(parity + 2), ... in a(x) * b(x)
+    terms = [0] * ((len(a) + len(b) - parity) // 2)
+    for i, x in enumerate(a):
+        for j in range((parity - i) % 2, len(b), 2):
+            terms[(i + j) // 2] += x * b[j]
+    return terms
 
 
 # --- growth rate -----------------------------------------------------------
@@ -167,13 +232,22 @@ def labelled_period_counts(n_max: int) -> list[int]:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    return _top_block_counts(n_max, labelled=True)
+
+
+def _top_block_counts(n_max: int, labelled: bool) -> list[int]:
+    # The DP of labelled_period_counts.  Without the factor C(m, s) it counts
+    # the unlabelled states a(1..n_max) straight from the block decomposition,
+    # independently of the cubic behind the recurrence and the series.
     # totals[r] is A[r] and weighted[r] is B[r].  r = 0 stands for the empty
     # state below a lone block: A[0] = 0 and B[0] = 1 give h[m][m] = 1.
     totals = [0] * (n_max + 1)
     weighted = [1] + [0] * n_max
     for m in range(1, n_max + 1):
         for s in range(1, m + 1):
-            h = math.comb(m, s) * (weighted[m - s] + s * totals[m - s])
+            h = weighted[m - s] + s * totals[m - s]
+            if labelled:
+                h *= math.comb(m, s)
             totals[m] += h
             weighted[m] += (s - 1) * h
     return totals[1:]

@@ -38,7 +38,9 @@ def criterion(number, description):
 
 
 def test_criterion_1_count_table_three_ways():
-    with criterion(1, "recurrence, series, and enumeration all give the first eleven counts"):
+    with criterion(
+        1, "recurrence, series, top-block count and enumeration give the first eleven counts"
+    ):
         started = time.monotonic()
         ok, detail = cli.verify_count_agreement(11)
         assert ok, detail

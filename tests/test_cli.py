@@ -11,7 +11,7 @@ import pytest
 
 import boardpile
 import boardpile.counting as counting
-from boardpile.cli import main
+from boardpile.cli import main, verify_count_agreement
 from boardpile.graphs import Graph
 from test_diffusion import sparse_start
 
@@ -472,6 +472,18 @@ def test_map_rejects_integer_past_digit_limit(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
+def test_map_names_stacks_past_the_digit_limit(tmp_path, capsys):
+    # accepted on input (4,300 digits each), normalized to a 4,301-digit stack
+    big = 10**4300 - 1
+    p = tmp_path / "c.json"
+    p.write_text(dumps_unlimited({"stacks": [-big, big]}), encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    code, out, err = invoke(["map", str(p)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: multiset (0, 1999") and "is not inside its own cycle" in err
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_map_rejects_nesting_past_recursion_limit(tmp_path, capsys):
     p = tmp_path / "c.json"
     p.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
@@ -594,6 +606,28 @@ def test_count_range_builds_one_table(monkeypatch, capsys):
     assert out.splitlines()[-1] == f"30,{real(30)[-1]}"
 
 
+@pytest.mark.parametrize("mode", ["recurrence", "gf"])
+def test_count_single_n_builds_no_table(mode, monkeypatch, capsys):
+    def refuse(n_max):
+        raise AssertionError("a single count built a table")
+
+    monkeypatch.setattr(counting, "recurrence_counts", refuse)
+    monkeypatch.setattr(counting, "gf_coefficients", refuse)
+    code, out, err = invoke(["count", "--mode", mode, "--n", "30"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"n": 30, "count": str(counting.recurrence_count(30))}
+
+
+@pytest.mark.parametrize("mode", ["recurrence", "gf"])
+def test_count_single_n_equals_table_rows(mode, capsys):
+    code, table, _ = invoke(["count", "--mode", mode, "--upto", "40"], capsys)
+    assert code == 0
+    for k, row in enumerate(table.splitlines()[1:], start=1):
+        code, out, _ = invoke(["count", "--mode", mode, "--n", str(k)], capsys)
+        assert code == 0
+        assert row == f"{k},{json.loads(out)['count']}"
+
+
 def test_count_labelled_table_rows_equal_single_counts(monkeypatch, capsys):
     calls = []
     real = counting.labelled_period_counts
@@ -693,6 +727,13 @@ def test_verify_reports_injected_fault(monkeypatch, capsys):
     summary = json.loads(out.splitlines()[-1])
     assert summary["ok"] is False
     assert summary["checks"]["count-triple-agreement"] is False
+
+
+def test_verify_count_agreement_checks_the_top_block_count(monkeypatch):
+    # the one unlabelled method that does not come from the cubic
+    assert verify_count_agreement(11)[0] is True
+    monkeypatch.setattr(counting, "_top_block_counts", lambda n_max, labelled: [1] * n_max)
+    assert verify_count_agreement(11)[0] is False
 
 
 def test_verify_validates_caps(capsys):

@@ -8,13 +8,16 @@ from boardpile.counting import (
     REFERENCE_COUNTS,
     UNLABELLED_CAP,
     _cubic_value,
+    _top_block_counts,
     asymptotic_constant,
     asymptotic_estimate,
     brute_force_labelled,
     brute_force_period_multisets,
     characteristic_roots,
+    gf_coefficient,
     gf_coefficients,
     labelled_period_counts,
+    recurrence_count,
     recurrence_counts,
 )
 from boardpile.polyomino import compositions
@@ -98,6 +101,35 @@ def test_gf_first_coefficient():
 
 def test_gf_equals_recurrence_far_out():
     assert gf_coefficients(50) == recurrence_counts(50)
+
+
+# --- single counts in O(log n) multiplications --------------------------------
+
+
+@pytest.mark.parametrize("single", [recurrence_count, gf_coefficient])
+def test_single_counts_match_reference(single):
+    assert tuple(single(n) for n in range(1, 12)) == REFERENCE_COUNTS
+
+
+@pytest.mark.parametrize("single,table", [(recurrence_count, recurrence_counts),
+                                          (gf_coefficient, gf_coefficients)])
+def test_single_counts_match_tables(single, table):
+    # 8,500 sits near the 4,300-digit mark, 20,000 well past it
+    full = table(20_000)
+    for n in [*range(1, 301), 8_500, 20_000]:
+        assert single(n) == full[n - 1], n
+
+
+@pytest.mark.parametrize("single", [recurrence_count, gf_coefficient])
+def test_single_counts_reject_zero(single):
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            single(n)
+
+
+def test_top_block_count_without_binomials_matches_recurrence():
+    # the labelled DP without C(m, s) counts the unlabelled states
+    assert _top_block_counts(300, labelled=False) == recurrence_counts(300)
 
 
 def test_ratio_converges_to_dominant_root():
