@@ -5,26 +5,31 @@ poorer neighbour and receives one chip from every strictly richer neighbour;
 equal neighbours exchange nothing.  Stack sizes may go negative.  Adding a
 constant to every stack never changes which chips move, and every trajectory
 eventually settles into a cycle of length 1 or 2.  So one loop, _orbit(),
-fires every trajectory until C_t equals C_{t-1} or C_{t-2}, holding two
+fires every trajectory until C_t equals C_{t-1} or C_{t-2}, holding three
 configurations and a checkpoint that raises PeriodNotOneOrTwo on any longer
 cycle.  run() fires min(steps, preperiod + period) times and repeats the
 cycle's tuples after the close, detect_period() puts a step budget around the
 loop, and `boardpile simulate` streams it in O(n) memory for any step count.
 
 One step on a graph with n vertices and m edges costs O(m) when the graph
-is sparse: every edge is visited.  When C(n,2) - m + 3n < m the graph
-stores its missing pairs (Graph.missing_pairs) and a step costs
-O(n log n + C(n,2) - m): each vertex moves as it would on K_n, which depends
-only on how many stacks sit above and below its own, and then the exchanges
-across the missing pairs are taken back.  Both paths give identical results.
-That K_n step by rank is written once: fire_complete() is the same step on a
-multiset, sorted afterwards.
+is sparse: every edge is visited.  Along a trajectory, though, C_t - C_{t-2}
+goes to zero as the cycle nears, so once at most half the vertices differ
+from two steps back, _orbit() fires C_{t-1} as a correction of the step
+C_{t-3} -> C_{t-2}, in O(n + sum of deg(v) over the vertices v that differ).
+When C(n,2) - m + 3n < m the graph stores its missing pairs
+(Graph.missing_pairs) and a step costs O(n log n + C(n,2) - m): each vertex
+moves as it would on K_n, which depends only on how many stacks sit above
+and below its own, and then the exchanges across the missing pairs are taken
+back.  All paths give identical results.  That K_n step by rank is written
+once: fire_complete() is the same step on a multiset, sorted afterwards.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from itertools import count, cycle, islice
+from itertools import compress, count, cycle, islice
+from operator import ne
 from typing import Generator, Iterable, NamedTuple, Sequence
 
 from .graphs import Graph
@@ -38,7 +43,10 @@ class NoRepeatWithinBudget(RuntimeError):
     """No configuration recurred within the step budget.
 
     Eventual periodicity is guaranteed, so hitting this means either the
-    budget was set pathologically low or the engine is broken.
+    budget was set pathologically low or the engine is broken.  The message
+    names n, m, the steps fired and, as a convergence signal, the number of
+    vertices where the last configuration differs from the one two steps
+    before; it shrinks to 0 as the trajectory nears its cycle.
     """
 
 
@@ -114,6 +122,45 @@ def _fire_raw(g: Graph, stacks: Config) -> Config:
     return tuple(out)
 
 
+def _neighbour_lists(g: Graph) -> list[tuple[int, ...]]:
+    neighbours: list = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    # a tuple holds a vertex's neighbours in less memory than a grown list
+    for v, listed in enumerate(neighbours):
+        neighbours[v] = tuple(listed)
+    return neighbours
+
+
+def _fire_delta(
+    g: Graph,
+    neighbours: list[tuple[int, ...]],
+    earlier: Config,
+    earlier_fired: Config,
+    stacks: Config,
+) -> Config:
+    # fire(stacks), given earlier_fired = fire(earlier).  An edge whose two
+    # ends hold the stacks they held in `earlier` passes the same chip again,
+    # so each vertex starts from earlier_fired plus its own change, and only
+    # the edges at a changed vertex are decided again: each once, from its
+    # changed end with the lower number when both ends changed.
+    out = list(earlier_fired)
+    for u in compress(range(g.n), map(ne, stacks, earlier)):
+        su, eu = stacks[u], earlier[u]
+        out[u] += su - eu
+        for w in neighbours[u]:
+            sw, ew = stacks[w], earlier[w]
+            if w < u and sw != ew:
+                continue
+            # chips into u along (u, w) now, less those it passed before
+            d = (sw > su) - (su > sw) - (ew > eu) + (eu > ew)
+            if d:
+                out[u] += d
+                out[w] -= d
+    return tuple(out)
+
+
 def _config_on(g: Graph, stacks: Sequence[int]) -> Config:
     c = tuple(map(int, stacks))
     if len(c) != g.n:
@@ -167,19 +214,33 @@ def _orbit(g: Graph, start: Config) -> Generator[Config, None, tuple[Config, ...
     """Yield C_0, C_1, ... from the configuration `start` until the cycle closes.
 
     At the first t with C_t = C_{t-1} or C_t = C_{t-2}, return the cycle's
-    members as yielded, in firing order, instead of C_t.  Holds two
-    configurations and a checkpoint moved at steps 1, 2, 4, 8, ... (Brent's
-    cycle finder), which catches any longer cycle: PeriodNotOneOrTwo.
+    members as yielded, in firing order, instead of C_t.  Holds three
+    configurations, C_{t-3}, C_{t-2} and C_{t-1}, and a checkpoint moved at
+    steps 1, 2, 4, 8, ... (Brent's cycle finder), which catches any longer
+    cycle: PeriodNotOneOrTwo.
+
+    On a sparse graph C_t is fired as a correction of C_{t-2} = fire(C_{t-3})
+    once C_{t-1} differs from C_{t-3} at no more than half the vertices.  That
+    step visits the sum of deg(v) over those vertices, against all m edges
+    for a full step, and at half the vertices the two are about even.  The
+    neighbour lists it reads are built on the first such step.
     """
-    before, previous = None, start
+    sparse = g.missing_pairs is None
+    neighbours = None
+    oldest, older, previous = None, None, start
     checkpoint, checkpoint_t = start, 0
     yield start
     for t in count(1):
-        current = _fire_raw(g, previous)
+        if sparse and oldest is not None and 2 * sum(map(ne, previous, oldest)) <= g.n:
+            if neighbours is None:
+                neighbours = _neighbour_lists(g)
+            current = _fire_delta(g, neighbours, oldest, older, previous)
+        else:
+            current = _fire_raw(g, previous)
         if current == previous:
             return (previous,)
-        if current == before:
-            return (before, previous)
+        if current == older:
+            return (older, previous)
         if current == checkpoint:
             raise PeriodNotOneOrTwo(
                 f"configuration repeated with cycle length {t - checkpoint_t}; "
@@ -188,7 +249,7 @@ def _orbit(g: Graph, start: Config) -> Generator[Config, None, tuple[Config, ...
         if t & (t - 1) == 0:
             checkpoint, checkpoint_t = current, t
         yield current
-        before, previous = previous, current
+        oldest, older, previous = older, previous, current
 
 
 def run(g: Graph, start: Sequence[int], steps: int) -> list[Config]:
@@ -216,21 +277,30 @@ def detect_period(g: Graph, start: Sequence[int], max_steps: int = DEFAULT_MAX_S
 
     Cycles have length 1 or 2, so the least preperiod is the first t with
     C_{t+1} = C_t (period 1) or else C_{t+2} = C_t (period 2); only the last
-    two configurations are held, O(n) memory.  Raises NoRepeatWithinBudget
+    three configurations are held, O(n) memory.  Raises NoRepeatWithinBudget
     if nothing repeats within max_steps firings, and PeriodNotOneOrTwo with
     its length if the trajectory reaches a longer cycle.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     orbit = _orbit(g, _config_on(g, start))
+    last = deque(maxlen=3)  # C_{t-2}, C_{t-1}, C_t
     # taking C_t costs the t-th firing; the one that closes the cycle stops it
     for t in range(max_steps + 1):
         try:
-            next(orbit)
+            last.append(next(orbit))
         except StopIteration as closed:
             members = closed.value
             return PeriodReport(t - len(members), len(members), members)
-    raise NoRepeatWithinBudget(f"no repeated configuration within {max_steps} steps")
+    if len(last) == 3:
+        changed = sum(map(ne, last[2], last[0]))
+        signal = f"C_{max_steps} differs from C_{max_steps - 2} at {changed} vertices"
+    else:
+        signal = "no configuration two steps before C_1"
+    raise NoRepeatWithinBudget(
+        f"no repeated configuration within {max_steps} steps "
+        f"(n = {g.n}, m = {len(g.edges)}, {max_steps} steps fired; {signal})"
+    )
 
 
 def normalize(stacks: Sequence[int]) -> Config:

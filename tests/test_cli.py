@@ -173,6 +173,10 @@ def test_period_budget_exhausted(tmp_path, capsys):
     code, _, err = invoke(["period", g, c, "--max-steps", "2"], capsys)
     assert code == 1
     assert "2 steps" in err
+    assert err == (
+        "error: no repeated configuration within 2 steps "
+        "(n = 5, m = 4, 2 steps fired; C_2 differs from C_0 at 3 vertices)\n"
+    )
 
 
 def reference_trajectory(graph, stacks, steps):

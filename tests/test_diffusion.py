@@ -114,13 +114,18 @@ def test_fire_matches_edge_loop_at_every_density(gs):
     assert fire(forced, stacks) == expected
 
 
-def test_fire_dense_graph_takes_rank_path_and_matches_edge_loop():
-    # a seeded G(120, 0.9) start, the shape of the dense benchmark orbits
+def dense_start():
+    # a seeded G(120, 0.9) start, the shape of the dense benchmark orbits, with
+    # a preperiod of 256
     rng = random.Random(0)
     n = 120
     g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.9])
+    return g, tuple(rng.randint(-5, 5) for _ in range(n))
+
+
+def test_fire_dense_graph_takes_rank_path_and_matches_edge_loop():
+    g, stacks = dense_start()
     assert g.missing_pairs is not None
-    stacks = tuple(rng.randint(-5, 5) for _ in range(n))
     for _ in range(20):
         fired = fire(g, stacks)
         assert fired == reference_fire(g, stacks)
@@ -272,6 +277,52 @@ def test_run_stops_firing_once_the_cycle_closes(fire_audit, g, stacks, steps):
     assert trajectory[-1] == report.period_configs[(steps - report.preperiod) % report.period]
 
 
+@st.composite
+def graph_and_two_configs(draw):
+    # b keeps some of a's stacks and redraws the rest, so anything from no
+    # change to a change at every vertex is drawn
+    g, a = draw(graph_and_stacks())
+    b = draw(st.tuples(*(st.just(x) | st.integers(-10, 10) for x in a)))
+    return g, a, b
+
+
+@settings(deadline=None, max_examples=400)
+@given(graph_and_two_configs())
+@example((path(3), (0, 2, 1), (0, 2, 1)))  # nothing changed
+@example((P5, P5_START, (1, 0, 2, 2, 2)))  # every vertex changed
+@example((path(3), (0, 0, 0), (2, 1, 0)))  # both ends of (0, 1) changed
+@example((Graph(3, [(0, 1)]), (0, 5, 9), (4, 5, 1)))  # isolated vertex 2 changed
+@example((Graph(1), (10**40,), (-(10**40),)))
+def test_fire_delta_corrects_the_earlier_step(gab):
+    g, a, b = gab
+    neighbours = diffusion._neighbour_lists(g)
+    fired_a = diffusion._fire_raw(g, a)
+    assert diffusion._fire_delta(g, neighbours, a, fired_a, b) == diffusion._fire_raw(g, b)
+
+
+def test_sparse_trajectory_fires_by_correction(monkeypatch):
+    g, stacks = sparse_start(0)
+    report = detect_period(g, stacks)
+    closes = report.preperiod + report.period
+    corrected = []
+    step = diffusion._fire_delta
+    monkeypatch.setattr(diffusion, "_fire_delta", lambda *args: corrected.append(1) or step(*args))
+    assert run(g, stacks, closes) == reference_run(g, stacks, closes)
+    # the first steps change most vertices and are fired in full; the
+    # corrections take over as the trajectory settles
+    assert 0 < len(corrected) <= closes - 2
+
+
+def test_dense_trajectory_fires_by_rank(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a dense graph fired by correction")
+
+    monkeypatch.setattr(diffusion, "_fire_delta", refuse)
+    g, stacks = dense_start()
+    assert g.missing_pairs is not None
+    assert detect_period(g, stacks).preperiod == 256
+
+
 # --- detect_period ---------------------------------------------------------
 
 
@@ -304,6 +355,19 @@ def test_detect_period_budget_exhausted():
     # preperiod is 3, so the first repeat appears at step 5
     with pytest.raises(NoRepeatWithinBudget, match="2 steps"):
         detect_period(P5, P5_START, max_steps=2)
+
+
+def test_budget_error_names_the_graph_and_the_convergence_signal():
+    # C_2 = (0, 2, 1, 2, 2) differs from C_0 = (0, 2, 0, 4, 1) at vertices 2, 3, 4
+    with pytest.raises(NoRepeatWithinBudget) as exhausted:
+        detect_period(P5, P5_START, max_steps=2)
+    assert str(exhausted.value) == (
+        "no repeated configuration within 2 steps "
+        "(n = 5, m = 4, 2 steps fired; C_2 differs from C_0 at 3 vertices)"
+    )
+    one_step = r"1 steps fired; no configuration two steps before C_1\)$"
+    with pytest.raises(NoRepeatWithinBudget, match=one_step):
+        detect_period(P5, P5_START, max_steps=1)
 
 
 def test_detect_period_surfaces_longer_cycles(monkeypatch):
@@ -368,12 +432,8 @@ def test_detect_period_reports_exact_length_of_longer_cycle(monkeypatch):
 
 
 def test_detect_period_memory_does_not_grow_with_preperiod():
-    # seed 0 gives a G(120, 0.9) start with preperiod 256; keeping the
-    # trajectory would hold about 700 KB of configurations
-    rng = random.Random(0)
-    n = 120
-    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.9])
-    stacks = tuple(rng.randint(-5, 5) for _ in range(n))
+    # keeping the 256-step preperiod's configurations would hold about 700 KB
+    g, stacks = dense_start()
     tracemalloc.start()
     try:
         report = detect_period(g, stacks)
