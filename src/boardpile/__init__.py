@@ -14,7 +14,6 @@ from .bijection import (
     poly_to_config,
 )
 from .counting import (
-    CharacteristicRoots,
     asymptotic_constant,
     asymptotic_estimate,
     brute_force_labelled,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoardPilePolyomino",
-    "CharacteristicRoots",
     "Graph",
     "InvalidPolyomino",
     "NoRepeatWithinBudget",

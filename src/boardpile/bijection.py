@@ -12,8 +12,8 @@ upside down (after renormalizing).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import groupby
-from typing import Iterable
 
 from .diffusion import fire_complete, normalize
 from .polyomino import BoardPilePolyomino, reflect

@@ -21,8 +21,8 @@ import contextlib
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import cycle, islice
-from typing import Iterable, Iterator, Sequence
 
 from . import bijection, counting, diffusion, graphs, polyomino
 

@@ -22,7 +22,6 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 from .diffusion import fire_complete, is_period_config
 from .graphs import complete
@@ -134,21 +133,13 @@ def _cubic_value(x: complex) -> complex:
     return ((a * x + b) * x + c) * x + d
 
 
-@dataclass(frozen=True)
-class CharacteristicRoots:
-    """Roots of x^3 - 5x^2 + 7x - 4: one real root of largest modulus and a
-    complex-conjugate pair."""
-
-    dominant: float
-    conjugate_pair: tuple[complex, complex]
-
-    def all_roots(self) -> tuple[complex, complex, complex]:
-        return (complex(self.dominant), *self.conjugate_pair)
-
-
 @functools.cache
-def characteristic_roots() -> CharacteristicRoots:
-    """Solve the growth cubic: Newton for the real root, then deflation.
+def characteristic_roots() -> tuple[float, complex, complex]:
+    """Roots of x^3 - 5x^2 + 7x - 4 as (dominant, root_2, root_3).
+
+    The dominant root is the one real root and has the largest modulus;
+    root_2 and root_3 are a complex-conjugate pair.  Solved by Newton for
+    the real root, then deflation.
 
     Raises RuntimeError if refinement fails to converge within 200
     iterations or any root's residual is not tiny; with this fixed cubic
@@ -169,10 +160,11 @@ def characteristic_roots() -> CharacteristicRoots:
     b0 = x * x - 5 * x + 7
     disc = cmath.sqrt(b1 * b1 - 4 * b0)
     pair = ((-b1 + disc) / 2, (-b1 - disc) / 2)
-    for root in (complex(x), *pair):
+    roots = (x, *pair)
+    for root in roots:
         if abs(_cubic_value(root)) >= 1e-10:
             raise RuntimeError(f"root {root} has residual {abs(_cubic_value(root)):.3e}")
-    return CharacteristicRoots(dominant=x, conjugate_pair=pair)
+    return roots
 
 
 @functools.cache
@@ -183,8 +175,7 @@ def recurrence_coefficients() -> tuple[complex, complex, complex]:
     form holds from the second term on; a(1) is the lone exception it does
     not reproduce.  The first coefficient belongs to the dominant root.
     """
-    c1, c2, c3 = (_closed_form_coefficient(root) for root in characteristic_roots().all_roots())
-    return (c1, c2, c3)
+    return tuple(_closed_form_coefficient(complex(root)) for root in characteristic_roots())
 
 
 def _closed_form_coefficient(root: complex) -> complex:
@@ -207,7 +198,7 @@ def asymptotic_estimate(k: int) -> float:
     """Leading-term approximation of a(k); relative error < 1% for k >= 8."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    return asymptotic_constant() * characteristic_roots().dominant**k
+    return asymptotic_constant() * characteristic_roots()[0] ** k
 
 
 # --- labelled counting -----------------------------------------------------

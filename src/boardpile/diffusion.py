@@ -26,11 +26,10 @@ once: fire_complete() is the same step on a multiset, sorted afterwards.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
+from collections.abc import Generator, Iterable, Sequence
 from itertools import compress, count, cycle, islice
 from operator import ne
-from typing import Generator, Iterable, NamedTuple, Sequence
 
 from .graphs import Graph
 
@@ -58,26 +57,51 @@ class PeriodNotOneOrTwo(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
 class PeriodReport:
     """Eventual cycle of a trajectory: starts after `preperiod` steps and
     repeats every `period` steps; `period_configs` are the cycle members in
-    firing order."""
+    firing order.  An immutable value, compared and hashed field by field."""
 
-    preperiod: int
-    period: int
-    period_configs: tuple[Config, ...]
+    __slots__ = ("preperiod", "period", "period_configs")
+
+    def __init__(self, preperiod: int, period: int, period_configs: tuple[Config, ...]):
+        object.__setattr__(self, "preperiod", preperiod)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "period_configs", period_configs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return (self.preperiod, self.period, self.period_configs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PeriodReport):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return (
+            f"PeriodReport(preperiod={self.preperiod!r}, period={self.period!r}, "
+            f"period_configs={self.period_configs!r})"
+        )
+
+    def __reduce__(self):
+        return PeriodReport, self._values()
 
 
-class Orientation(NamedTuple):
-    """Edge directions induced by a configuration.
+Orientation = namedtuple("Orientation", ("arcs", "flat"))
+Orientation.__doc__ = """Edge directions induced by a configuration.
 
-    arcs holds (richer, poorer) pairs; flat holds the canonical (u, v),
-    u < v, pairs whose endpoints have equal stacks.
-    """
-
-    arcs: frozenset[tuple[int, int]]
-    flat: frozenset[tuple[int, int]]
+arcs holds (richer, poorer) pairs; flat holds the canonical (u, v), u < v,
+pairs whose endpoints have equal stacks.  Both are frozensets.
+"""
 
 
 # --- core firing rule ------------------------------------------------------

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable, Sequence
 from itertools import combinations, pairwise
-from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
 

@@ -13,8 +13,7 @@ and reflect() build strips that satisfy it by construction and skip it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterable, Iterator
 
 Strip = tuple[int, int]
 
@@ -38,17 +37,38 @@ def _check_strips(strips: tuple[Strip, ...]) -> None:
             raise InvalidPolyomino(f"strips[{i}]: offset {d} outside 1..{high}")
 
 
-@dataclass(frozen=True)
 class BoardPilePolyomino:
-    """Validated board-pile polyomino; construction rejects bad strip lists."""
+    """Validated board-pile polyomino; construction rejects bad strip lists.
 
-    strips: tuple[Strip, ...]
+    An immutable value: equal strips make equal, equally hashed polyominoes.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "strips", tuple((int(d), int(length)) for d, length in self.strips)
-        )
-        _check_strips(self.strips)
+    __slots__ = ("strips",)
+
+    def __init__(self, strips: Iterable[Strip]):
+        strips = tuple((int(d), int(length)) for d, length in strips)
+        _check_strips(strips)
+        object.__setattr__(self, "strips", strips)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BoardPilePolyomino):
+            return NotImplemented
+        return self.strips == other.strips
+
+    def __hash__(self) -> int:
+        return hash(self.strips)
+
+    def __repr__(self) -> str:
+        return f"BoardPilePolyomino(strips={self.strips!r})"
+
+    def __reduce__(self):
+        return BoardPilePolyomino, (self.strips,)
 
     @property
     def cells(self) -> int:
@@ -60,7 +80,7 @@ class BoardPilePolyomino:
 
 
 def _trusted(strips: tuple[Strip, ...]) -> BoardPilePolyomino:
-    # strips known valid and made of ints: bypass __post_init__'s coercion and check
+    # strips known valid and made of ints: bypass __init__'s coercion and check
     x = object.__new__(BoardPilePolyomino)
     object.__setattr__(x, "strips", strips)
     return x

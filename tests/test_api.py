@@ -1,9 +1,17 @@
 import ast
+import copy
 import io
+import os
+import pickle
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
+import pytest
+
 import boardpile
+from boardpile import BoardPilePolyomino, Orientation, PeriodReport
 
 # names the package exported once and no longer does
 REMOVED = (
@@ -18,6 +26,7 @@ REMOVED = (
     "CompleteConfig",
     "labelled_period_count",
     "brute_force_unlabelled",
+    "CharacteristicRoots",
 )
 
 
@@ -56,3 +65,57 @@ def test_readme_library_tour_runs():
         checked.append(expected)
     assert (0, 0, 3, 3, 5, 5, 5, 5, 8, 8) in checked
     assert 66441 in checked
+
+
+# (a value, an equal one built apart, a different one, its repr, a field name)
+VALUES = [
+    (
+        PeriodReport(3, 2, ((1, 0, 3), (0, 2, 1))),
+        PeriodReport(3, 2, ((1, 0, 3), (0, 2, 1))),
+        PeriodReport(3, 1, ((1, 0, 3),)),
+        "PeriodReport(preperiod=3, period=2, period_configs=((1, 0, 3), (0, 2, 1)))",
+        "period",
+    ),
+    (
+        BoardPilePolyomino(((0, 2), (3, 2))),
+        BoardPilePolyomino([[0, 2], [3, 2]]),
+        BoardPilePolyomino(((0, 2), (2, 2))),
+        "BoardPilePolyomino(strips=((0, 2), (3, 2)))",
+        "strips",
+    ),
+    (
+        Orientation(frozenset({(1, 0)}), frozenset()),
+        Orientation(frozenset({(1, 0)}), frozenset()),
+        Orientation(frozenset(), frozenset({(0, 1)})),
+        "Orientation(arcs=frozenset({(1, 0)}), flat=frozenset())",
+        "arcs",
+    ),
+]
+
+
+@pytest.mark.parametrize("value, twin, other, text, field", VALUES, ids=lambda v: type(v).__name__)
+def test_result_classes_behave_as_values(value, twin, other, text, field):
+    assert value == twin and hash(value) == hash(twin)
+    assert value != other
+    assert type(value).__eq__(value, object()) is NotImplemented
+    assert repr(value) == text
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(copied) is type(value)
+        assert copied == value and hash(copied) == hash(value)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_typing():
+    # each of these costs the CLI's cold start milliseconds on every run; -S
+    # keeps site's .pth files, which may import typing themselves, out of it
+    src = str(Path(boardpile.__file__).resolve().parents[1])
+    probe = "import sys, boardpile.cli; print(*sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.split() == []

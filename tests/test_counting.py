@@ -143,21 +143,19 @@ def test_ratio_converges_to_dominant_root():
 
 
 def test_roots_satisfy_cubic():
-    roots = characteristic_roots()
-    for root in roots.all_roots():
+    for root in characteristic_roots():
         assert abs(_cubic_value(root)) < 1e-10
 
 
 def test_dominant_root_value():
-    roots = characteristic_roots()
-    assert abs(roots.dominant - 3.2056) < 1e-4
+    dominant = characteristic_roots()[0]
+    assert abs(dominant - 3.2056) < 1e-4
 
 
 def test_root_moduli_ordering():
-    roots = characteristic_roots()
-    a, b = roots.conjugate_pair
+    dominant, a, b = characteristic_roots()
     assert abs(abs(a) - abs(b)) < 1e-12
-    assert roots.dominant > abs(a)
+    assert dominant > abs(a)
     assert abs(abs(a) - 1.1171) < 1e-3
     assert abs(a.real - 0.8972) < 1e-3
     assert abs(abs(a.imag) - 0.6655) < 1e-3
@@ -171,7 +169,7 @@ def test_asymptotic_constant_value():
 def test_closed_form_reproduces_counts_from_second_term():
     from boardpile.counting import recurrence_coefficients
 
-    roots = characteristic_roots().all_roots()
+    roots = characteristic_roots()
     coeffs = recurrence_coefficients()
     counts = recurrence_counts(20)
     for k in range(2, 21):
