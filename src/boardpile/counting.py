@@ -179,11 +179,10 @@ def recurrence_coefficients() -> tuple[complex, complex, complex]:
 
 
 def _closed_form_coefficient(root: complex) -> complex:
-    # partial fractions of the GF N/Q: pole x = 1/r gives -r*N(1/r)/Q'(1/r), reduced by Q(1/r) = 0
-    inv = 1 / root
-    numerator = -(-7 * inv * inv + 13 * inv - 5)
-    denominator = (192 * inv * inv - 224 * inv + 80) * inv
-    return numerator / denominator
+    # partial fractions of the GF N/Q, N(x) = x(1-x)^3 and Q(x) = 1 - 5x + 7x^2 - 4x^3:
+    # the pole x = 1/r gives -r*N(1/r)/Q'(1/r)
+    x = 1 / root
+    return -root * x * (1 - x) ** 3 / (-5 + 14 * x - 12 * x * x)
 
 
 def asymptotic_constant() -> float:

@@ -57,43 +57,13 @@ class PeriodNotOneOrTwo(RuntimeError):
     """
 
 
-class PeriodReport:
-    """Eventual cycle of a trajectory: starts after `preperiod` steps and
-    repeats every `period` steps; `period_configs` are the cycle members in
-    firing order.  An immutable value, compared and hashed field by field."""
+PeriodReport = namedtuple("PeriodReport", ("preperiod", "period", "period_configs"))
+PeriodReport.__doc__ = """Eventual cycle of a trajectory.
 
-    __slots__ = ("preperiod", "period", "period_configs")
-
-    def __init__(self, preperiod: int, period: int, period_configs: tuple[Config, ...]):
-        object.__setattr__(self, "preperiod", preperiod)
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "period_configs", period_configs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _values(self) -> tuple:
-        return (self.preperiod, self.period, self.period_configs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PeriodReport):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return (
-            f"PeriodReport(preperiod={self.preperiod!r}, period={self.period!r}, "
-            f"period_configs={self.period_configs!r})"
-        )
-
-    def __reduce__(self):
-        return PeriodReport, self._values()
+The cycle starts after `preperiod` steps and repeats every `period` steps;
+`period_configs` are the cycle members in firing order.  A named tuple, so
+it unpacks as (preperiod, period, period_configs).
+"""
 
 
 Orientation = namedtuple("Orientation", ("arcs", "flat"))

@@ -51,9 +51,7 @@ class Graph:
         for edge, following in pairwise(canonical):
             if edge == following:
                 raise ValueError(f"duplicate edge {edge}")
-        self.n = n
-        self.edges = tuple(canonical)
-        self.missing_pairs = None
+        missing_pairs = None
         m = len(canonical)
         if n * (n - 1) // 2 - m + 3 * n < m:
             # combinations() runs through the pairs in the order of the sorted
@@ -66,7 +64,19 @@ class Graph:
                     edge = next(present, None)
                 else:
                     missing.append(pair)
-            self.missing_pairs = tuple(missing)
+            missing_pairs = tuple(missing)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", tuple(canonical))
+        object.__setattr__(self, "missing_pairs", missing_pairs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Graph, (self.n, self.edges)
 
     def adjacent(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):

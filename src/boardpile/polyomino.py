@@ -13,6 +13,7 @@ and reflect() build strips that satisfy it by construction and skip it.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
 Strip = tuple[int, int]
@@ -37,38 +38,25 @@ def _check_strips(strips: tuple[Strip, ...]) -> None:
             raise InvalidPolyomino(f"strips[{i}]: offset {d} outside 1..{high}")
 
 
-class BoardPilePolyomino:
+class BoardPilePolyomino(namedtuple("BoardPilePolyomino", ("strips",))):
     """Validated board-pile polyomino; construction rejects bad strip lists.
 
-    An immutable value: equal strips make equal, equally hashed polyominoes.
+    A named tuple with the one field `strips`: equal strips make equal,
+    equally hashed polyominoes, each equal to the plain tuple (strips,).
+    _make() and _replace() build through the constructor, and so do pickle
+    and deepcopy: none of them skips the check.
     """
 
-    __slots__ = ("strips",)
+    __slots__ = ()
 
-    def __init__(self, strips: Iterable[Strip]):
+    def __new__(cls, strips: Iterable[Strip]):
         strips = tuple((int(d), int(length)) for d, length in strips)
         _check_strips(strips)
-        object.__setattr__(self, "strips", strips)
+        return tuple.__new__(cls, (strips,))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BoardPilePolyomino):
-            return NotImplemented
-        return self.strips == other.strips
-
-    def __hash__(self) -> int:
-        return hash(self.strips)
-
-    def __repr__(self) -> str:
-        return f"BoardPilePolyomino(strips={self.strips!r})"
-
-    def __reduce__(self):
-        return BoardPilePolyomino, (self.strips,)
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def cells(self) -> int:
@@ -80,10 +68,8 @@ class BoardPilePolyomino:
 
 
 def _trusted(strips: tuple[Strip, ...]) -> BoardPilePolyomino:
-    # strips known valid and made of ints: bypass __init__'s coercion and check
-    x = object.__new__(BoardPilePolyomino)
-    object.__setattr__(x, "strips", strips)
-    return x
+    # strips known valid and made of ints: bypass __new__'s coercion and check
+    return tuple.__new__(BoardPilePolyomino, (strips,))
 
 
 def compositions(total: int) -> Iterator[tuple[int, ...]]:

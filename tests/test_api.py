@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import boardpile
-from boardpile import BoardPilePolyomino, Orientation, PeriodReport
+from boardpile import BoardPilePolyomino, Graph, InvalidPolyomino, Orientation, PeriodReport
+from boardpile.polyomino import _trusted
 
 # names the package exported once and no longer does
 REMOVED = (
@@ -90,6 +91,13 @@ VALUES = [
         "Orientation(arcs=frozenset({(1, 0)}), flat=frozenset())",
         "arcs",
     ),
+    (
+        Graph(2, [(0, 1)]),
+        Graph(2, [(1, 0)]),
+        Graph(2),
+        "Graph(n=2, m=1)",
+        "n",
+    ),
 ]
 
 
@@ -104,6 +112,33 @@ def test_result_classes_behave_as_values(value, twin, other, text, field):
     for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
         assert type(copied) is type(value)
         assert copied == value and hash(copied) == hash(value)
+
+
+def test_polyomino_check_has_no_back_door():
+    x = BoardPilePolyomino(((0, 2), (3, 2)))
+    with pytest.raises(InvalidPolyomino):
+        BoardPilePolyomino._make([((1, 2),)])
+    with pytest.raises(InvalidPolyomino):
+        x._replace(strips=((0, 2), (9, 2)))
+    # pickle and deepcopy rebuild through the reduction's constructor call
+    rebuild, args = x.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[:2]
+    assert rebuild(*args) == x
+    with pytest.raises(InvalidPolyomino):
+        rebuild(args[0], ((1, 2),))
+    trusted = _trusted(((0, 2), (3, 2)))
+    assert type(trusted) is BoardPilePolyomino
+    assert trusted == x and hash(trusted) == hash(x)
+
+
+def test_result_values_are_tuples():
+    report = boardpile.detect_period(boardpile.path(5), (0, 2, 0, 4, 1))
+    preperiod, period, configs = report
+    assert (preperiod, period) == (3, 2)
+    assert configs == ((1, 0, 3, 1, 2), (0, 2, 1, 3, 1))
+    assert report == (preperiod, period, configs)
+    x = BoardPilePolyomino(((0, 2), (3, 2)))
+    assert len(x) == 1 and x == (((0, 2), (3, 2)),)
+    assert hash(x) == hash((x.strips,))
 
 
 def test_cli_import_loads_neither_dataclasses_nor_typing():
