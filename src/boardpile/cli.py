@@ -146,9 +146,6 @@ def _unlimited_int_digits():
     # Exact counts and stacks outgrow the interpreter's int->str digit limit
     # (4300 digits by default); lift it only while writing them, never while
     # parsing input.
-    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7 has no limit
-        yield
-        return
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -254,7 +251,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    x = _polyomino(_read_document(args.polyomino, "polyomino document"))
+    doc = _read_document(args.polyomino, "polyomino document")
+    # the strip check's message can name values past the digit limit
+    with _unlimited_int_digits():
+        x = _polyomino(doc)
     sys.stdout.write(polyomino.render_ascii(x) + "\n")
     return 0
 

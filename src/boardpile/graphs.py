@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from itertools import combinations, pairwise
 
@@ -77,13 +76,6 @@ class Graph:
 
     def __reduce__(self):
         return Graph, (self.n, self.edges)
-
-    def adjacent(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"vertex pair ({u}, {v}) out of range for {self.n} vertices")
-        edge = (u, v) if u < v else (v, u)
-        i = bisect_left(self.edges, edge)
-        return i < len(self.edges) and self.edges[i] == edge
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

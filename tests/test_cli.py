@@ -386,6 +386,18 @@ def test_render_invalid_polyomino(tmp_path, capsys):
     assert "offset" in err
 
 
+def test_render_names_an_offset_past_the_digit_limit(tmp_path, capsys):
+    # both numbers parse within the limit; the message names bounds beyond it
+    length = 9 * 10**4299
+    p = tmp_path / "x.json"
+    p.write_text(dumps_unlimited({"strips": [[0, length], [0, length]]}), encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    code, out, err = invoke(["render", str(p)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: polyomino document: strips[1]: offset 0 outside 1..")
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_render_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
     p = tmp_path / "x.json"
     p.write_bytes(b'{"strips": [[0, 2]], "x": "\xff"}')

@@ -26,7 +26,7 @@ def test_path_edges():
 
 def test_cycle_edges():
     assert len(cycle(3).edges) == 3
-    assert cycle(4).adjacent(3, 0)
+    assert (0, 3) in cycle(4).edges
     with pytest.raises(ValueError):
         cycle(2)
 
@@ -78,17 +78,6 @@ def test_graph_rejects_entries_that_are_not_pairs():
         Graph(3, [(0, 1, 2)])
     with pytest.raises(ValueError, match=r"edge entry \(0,\): expected exactly two endpoints"):
         Graph(3, [(0,)])
-
-
-def test_adjacency_is_symmetric():
-    for g in (complete(6), path(6), cycle(6), star(6)):
-        for u in range(g.n):
-            for v in range(g.n):
-                if u != v:
-                    assert g.adjacent(u, v) == g.adjacent(v, u)
-                    assert g.adjacent(u, v) == ((min(u, v), max(u, v)) in g.edges)
-        with pytest.raises(ValueError, match="out of range"):
-            g.adjacent(0, g.n)
 
 
 def test_dense_graphs_store_their_missing_pairs():
