@@ -19,7 +19,6 @@ both counts.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 
@@ -30,9 +29,6 @@ _SEEDS = (1, 2, 6, 19)
 
 # a(1)..a(11), the table every cross-check of the counts is held against
 REFERENCE_COUNTS = (1, 2, 6, 19, 61, 196, 629, 2017, 6466, 20727, 66441)
-
-# x^3 - 5x^2 + 7x - 4, the characteristic polynomial of the recurrence
-_CUBIC = (1, -5, 7, -4)
 
 
 def recurrence_counts(n_max: int) -> list[int]:
@@ -128,69 +124,37 @@ def _product_terms(a: list[int], b: list[int], parity: int) -> list[int]:
 # --- growth rate -----------------------------------------------------------
 
 
-def _cubic_value(x: complex) -> complex:
-    a, b, c, d = _CUBIC
-    return ((a * x + b) * x + c) * x + d
-
-
-@functools.cache
 def characteristic_roots() -> tuple[float, complex, complex]:
     """Roots of x^3 - 5x^2 + 7x - 4 as (dominant, root_2, root_3).
 
     The dominant root is the one real root and has the largest modulus;
-    root_2 and root_3 are a complex-conjugate pair.  Solved by Newton for
-    the real root, then deflation.
-
-    Raises RuntimeError if refinement fails to converge within 200
-    iterations or any root's residual is not tiny; with this fixed cubic
-    that would signal a numerics bug.
+    root_2 and root_3 are a complex-conjugate pair.  Solved in closed form
+    (Cardano, then the quadratic).
     """
-    x = 3.0
-    for _ in range(200):
-        f = _cubic_value(x)
-        fprime = 3 * x * x - 10 * x + 7
-        step = f / fprime
-        x -= step.real
-        if abs(step) < 1e-15:
-            break
-    else:
-        raise RuntimeError("root refinement did not converge in 200 iterations")
-    # divide out (x - root): quotient x^2 + b1 x + b0
-    b1 = x - 5
-    b0 = x * x - 5 * x + 7
-    disc = cmath.sqrt(b1 * b1 - 4 * b0)
-    pair = ((-b1 + disc) / 2, (-b1 - disc) / 2)
-    roots = (x, *pair)
-    for root in roots:
-        if abs(_cubic_value(root)) >= 1e-10:
-            raise RuntimeError(f"root {root} has residual {abs(_cubic_value(root)):.3e}")
-    return roots
-
-
-@functools.cache
-def recurrence_coefficients() -> tuple[complex, complex, complex]:
-    """Coefficients (c1, c2, c3) with a(k) = sum of c_i * root_i^k for k >= 2.
-
-    The generating function's polynomial part has degree 1, so the closed
-    form holds from the second term on; a(1) is the lone exception it does
-    not reproduce.  The first coefficient belongs to the dominant root.
-    """
-    return tuple(_closed_form_coefficient(complex(root)) for root in characteristic_roots())
+    # x = y + 5/3 leaves y^3 - (4/3)y - 43/27, whose discriminant
+    # (43/54)^2 - (4/9)^3 = 1593/2916 is positive: one real root, and both
+    # radicands below are positive
+    half_q = 43 / 54
+    shift = math.sqrt(1593) / 54
+    r = 5 / 3 + (half_q + shift) ** (1 / 3) + (half_q - shift) ** (1 / 3)
+    # the other two sum to 5 - r and multiply to 4/r
+    mid = (5 - r) / 2
+    offset = cmath.sqrt(mid * mid - 4 / r)
+    return r, mid + offset, mid - offset
 
 
 def _closed_form_coefficient(root: complex) -> complex:
     # partial fractions of the GF N/Q, N(x) = x(1-x)^3 and Q(x) = 1 - 5x + 7x^2 - 4x^3:
-    # the pole x = 1/r gives -r*N(1/r)/Q'(1/r)
+    # the pole x = 1/r gives -r*N(1/r)/Q'(1/r).  N has degree 1 above Q's, so
+    # a(k) = sum of these coefficients times root^k holds from k = 2 on; a(1)
+    # is the lone exception it does not reproduce
     x = 1 / root
     return -root * x * (1 - x) ** 3 / (-5 + 14 * x - 12 * x * x)
 
 
 def asymptotic_constant() -> float:
     """The real multiplier C in the leading-term approximation C * r^k."""
-    c1 = recurrence_coefficients()[0]
-    if abs(c1.imag) > 1e-9:
-        raise RuntimeError(f"dominant coefficient unexpectedly complex: {c1}")
-    return c1.real
+    return _closed_form_coefficient(characteristic_roots()[0])
 
 
 def asymptotic_estimate(k: int) -> float:

@@ -32,7 +32,7 @@ class Graph:
         for pair in edges:
             try:
                 u, v = pair
-            except ValueError:
+            except (TypeError, ValueError):
                 raise ValueError(f"edge entry {pair!r}: expected exactly two endpoints") from None
             u, v = int(u), int(v)
             for endpoint in (u, v):

@@ -7,7 +7,7 @@ from boardpile.counting import (
     LABELLED_CAP,
     REFERENCE_COUNTS,
     UNLABELLED_CAP,
-    _cubic_value,
+    _closed_form_coefficient,
     _top_block_counts,
     asymptotic_constant,
     asymptotic_estimate,
@@ -144,7 +144,7 @@ def test_ratio_converges_to_dominant_root():
 
 def test_roots_satisfy_cubic():
     for root in characteristic_roots():
-        assert abs(_cubic_value(root)) < 1e-10
+        assert abs(((root - 5) * root + 7) * root - 4) < 1e-10
 
 
 def test_dominant_root_value():
@@ -167,10 +167,8 @@ def test_asymptotic_constant_value():
 
 
 def test_closed_form_reproduces_counts_from_second_term():
-    from boardpile.counting import recurrence_coefficients
-
     roots = characteristic_roots()
-    coeffs = recurrence_coefficients()
+    coeffs = [_closed_form_coefficient(complex(r)) for r in roots]
     counts = recurrence_counts(20)
     for k in range(2, 21):
         value = sum(c * r**k for c, r in zip(coeffs, roots))

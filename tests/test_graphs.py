@@ -78,6 +78,10 @@ def test_graph_rejects_entries_that_are_not_pairs():
         Graph(3, [(0, 1, 2)])
     with pytest.raises(ValueError, match=r"edge entry \(0,\): expected exactly two endpoints"):
         Graph(3, [(0,)])
+    with pytest.raises(ValueError, match=r"edge entry 5: expected exactly two endpoints"):
+        Graph(3, [5])
+    with pytest.raises(ValueError, match=r"edge entry None: expected exactly two endpoints"):
+        Graph(3, [None])
 
 
 def test_dense_graphs_store_their_missing_pairs():
