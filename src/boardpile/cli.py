@@ -24,18 +24,22 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import cycle, islice
 
-from . import bijection, counting, diffusion, graphs, polyomino
+# Each handler imports the library modules it runs, so a run loads only those.
+# These names serve the annotations alone.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from . import graphs, polyomino
 
 # verify's fire-reflect check walks every polyomino up to this many cells
 # (66,441 of them at 11, and about 3.2 times as many per cell beyond)
 _REFLECT_CAP = 11
 
-_FAMILIES = {
-    "complete": graphs.complete,
-    "cycle": graphs.cycle,
-    "path": graphs.path,
-    "star": graphs.star,
-}
+# count's enumeration walks every polyomino of each size asked for: 7,015,418
+# of them at 15, and about 3.2 times as many per cell beyond
+_ENUMERATE_CAP = 15
+
+# graph families by their constructor's name in graphs
+_FAMILIES = ("complete", "cycle", "path", "star")
 
 
 class InputError(Exception):
@@ -99,6 +103,8 @@ def _construct(name: str, make, *args):
 
 
 def _load_graph(path: str) -> graphs.Graph:
+    from . import graphs
+
     name = "graph document"
     doc = _read_document(path, name)
     if "family" in doc and "edges" in doc:
@@ -116,7 +122,7 @@ def _load_graph(path: str) -> graphs.Graph:
             f"{name}: field 'family': unknown value {family!r} "
             f"(expected one of {', '.join(_FAMILIES)})"
         )
-    return _construct(name, _FAMILIES[family], n)
+    return _construct(name, getattr(graphs, family), n)
 
 
 def _load_stacks(path: str, g: graphs.Graph) -> tuple[int, ...]:
@@ -131,6 +137,8 @@ def _load_stacks(path: str, g: graphs.Graph) -> tuple[int, ...]:
 
 
 def _polyomino(doc: dict) -> polyomino.BoardPilePolyomino:
+    from . import polyomino
+
     name = "polyomino document"
     strips = _integers(doc, name, "strips", "offset, length")
     return _construct(name, polyomino.BoardPilePolyomino, strips)
@@ -180,6 +188,8 @@ def _stacks_block(c: Sequence[int], indent: str) -> str:
 
 
 def _trajectory_text(g: graphs.Graph, stacks: tuple, steps: int, fmt: str) -> Iterator[str]:
+    from . import diffusion
+
     # "json" is json.dumps(..., indent=2) of the {"stacks": ...} list, laid out
     # here because json's indented encoder is pure Python.  Each row is written
     # as it is fired; once the cycle closes, the rest cycles through its rows.
@@ -214,11 +224,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_period(args) -> int:
+    from . import diffusion
+
     g = _load_graph(args.graph)
     stacks = _load_stacks(args.config, g)
-    if args.max_steps < 1:
+    max_steps = diffusion.DEFAULT_MAX_STEPS if args.max_steps is None else args.max_steps
+    if max_steps < 1:
         raise InputError("--max-steps must be at least 1")
-    report = diffusion.detect_period(g, stacks, max_steps=args.max_steps)
+    report = diffusion.detect_period(g, stacks, max_steps=max_steps)
     with _unlimited_int_digits():
         # json.dumps(..., indent=2) of {"preperiod", "period", "configs"}
         configs = ",\n".join(_stacks_block(c, "    ") for c in report.period_configs)
@@ -231,6 +244,8 @@ def _cmd_period(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from . import polyomino
+
     if args.n < 1:
         raise InputError("--n must be at least 1")
     stream = polyomino.enumerate_board_pile(args.n)
@@ -251,6 +266,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import polyomino
+
     doc = _read_document(args.polyomino, "polyomino document")
     # the strip check's message can name values past the digit limit
     with _unlimited_int_digits():
@@ -260,6 +277,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_map(args) -> int:
+    from . import bijection, diffusion
+
     name = "input document"
     doc = _read_document(args.document, name)
     if "strips" in doc and "stacks" in doc:
@@ -284,7 +303,17 @@ def _cmd_map(args) -> int:
     return 0 if out.get("fire_reflect", True) else 1
 
 
+def _count_cap(mode: str) -> int | None:
+    """The largest n that mode counts, for the two walks whose cost grows
+    exponentially with n; None for the others."""
+    from . import counting
+
+    return {"brute": counting.UNLABELLED_CAP, "enumerate": _ENUMERATE_CAP}.get(mode)
+
+
 def _count_table(mode: str, upto: int) -> list[int]:
+    from . import counting
+
     # the recurrence, the series and the transfer matrix each build a whole table anyway
     if mode == "recurrence":
         return counting.recurrence_counts(upto)
@@ -296,8 +325,13 @@ def _count_table(mode: str, upto: int) -> list[int]:
 
 
 def _count_one(mode: str, n: int) -> int:
+    from . import counting
+
     if n < 1:
         raise InputError("--n must be at least 1")
+    cap = _count_cap(mode)
+    if cap is not None and n > cap:
+        raise InputError(f"--n for mode {mode!r} is capped at {cap}")
     if mode == "recurrence":
         return counting.recurrence_count(n)
     if mode == "gf":
@@ -305,10 +339,10 @@ def _count_one(mode: str, n: int) -> int:
     if mode == "labelled":
         return counting.labelled_period_counts(n)[-1]
     if mode == "enumerate":
+        from . import polyomino
+
         return sum(1 for _ in polyomino.enumerate_board_pile(n))
     if mode == "brute":
-        if n > counting.UNLABELLED_CAP:
-            raise InputError(f"--n for mode 'brute' is capped at {counting.UNLABELLED_CAP}")
         return len(counting.brute_force_period_multisets(n))
     raise InputError(f"unknown mode {mode!r}")
 
@@ -323,8 +357,9 @@ def _cmd_count(args) -> int:
     else:
         if args.upto < 1:
             raise InputError("--upto must be at least 1")
-        if args.mode == "brute" and args.upto > counting.UNLABELLED_CAP:
-            raise InputError(f"--upto for mode 'brute' is capped at {counting.UNLABELLED_CAP}")
+        cap = _count_cap(args.mode)
+        if cap is not None and args.upto > cap:
+            raise InputError(f"--upto for mode {args.mode!r} is capped at {cap}")
         table = _count_table(args.mode, args.upto)
         with _unlimited_int_digits():
             text = "n,count\n" + "".join(f"{k},{v}\n" for k, v in enumerate(table, start=1))
@@ -338,6 +373,8 @@ def _cmd_count(args) -> int:
 def verify_count_agreement(n_max: int) -> tuple[bool, str]:
     """Recurrence, series, top-block count and enumeration agree with the
     reference table for n=1..n_max."""
+    from . import counting, polyomino
+
     rec = counting.recurrence_counts(n_max)
     gf = counting.gf_coefficients(n_max)
     blocks = counting._top_block_counts(n_max, labelled=False)
@@ -349,6 +386,8 @@ def verify_count_agreement(n_max: int) -> tuple[bool, str]:
 
 def verify_image(n_max: int) -> tuple[bool, str]:
     """The strip images equal the fire-twice scan, as sets, for n=1..n_max."""
+    from . import bijection, counting, polyomino
+
     for n in range(1, n_max + 1):
         oracle = set(counting.brute_force_period_multisets(n))
         image = {bijection.poly_to_config(x) for x in polyomino.enumerate_board_pile(n)}
@@ -359,6 +398,8 @@ def verify_image(n_max: int) -> tuple[bool, str]:
 
 def verify_fire_reflect(cells_max: int) -> tuple[bool, str]:
     """Firing each image equals reflecting its polyomino, up to cells_max cells."""
+    from . import bijection, polyomino
+
     checked = 0
     for n in range(1, cells_max + 1):
         for x in polyomino.enumerate_board_pile(n):
@@ -370,6 +411,8 @@ def verify_fire_reflect(cells_max: int) -> tuple[bool, str]:
 
 def verify_labelled(n_max: int) -> tuple[bool, str]:
     """The labelled transfer-matrix count equals the labelled scan for n=1..n_max."""
+    from . import counting
+
     for n, formula in enumerate(counting.labelled_period_counts(n_max), start=1):
         oracle = counting.brute_force_labelled(n)
         if formula != oracle:
@@ -378,6 +421,8 @@ def verify_labelled(n_max: int) -> tuple[bool, str]:
 
 
 def _cmd_verify(args) -> int:
+    from . import counting
+
     if not 1 <= args.max_unlabelled <= counting.UNLABELLED_CAP:
         raise InputError(f"--max-unlabelled must be in 1..{counting.UNLABELLED_CAP}")
     if not 1 <= args.max_labelled <= counting.LABELLED_CAP:
@@ -430,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("period", help="find the eventual cycle of a trajectory")
     p.add_argument("graph")
     p.add_argument("config")
-    p.add_argument("--max-steps", type=int, default=diffusion.DEFAULT_MAX_STEPS)
+    p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_period)
 

@@ -22,9 +22,6 @@ import cmath
 import itertools
 import math
 
-from .diffusion import fire_complete, is_period_config
-from .graphs import complete
-
 _SEEDS = (1, 2, 6, 19)
 
 # a(1)..a(11), the table every cross-check of the counts is held against
@@ -212,7 +209,9 @@ def _top_block_counts(n_max: int, labelled: bool) -> list[int]:
 # A normalized periodic multiset has minimum 0 and maximum < 2n (the gaps
 # between adjacent distinct values are bounded by the block sizes), so a
 # scan over values in [0, 2n] is exhaustive.  "Periodic" is decided purely
-# dynamically: firing twice must reproduce the input exactly.
+# dynamically: firing twice must reproduce the input exactly.  Only these two
+# oracles fire, so they alone import the engine, and the exact counts load
+# this module alone.
 
 UNLABELLED_CAP = 8
 LABELLED_CAP = 5
@@ -220,6 +219,8 @@ LABELLED_CAP = 5
 
 def brute_force_period_multisets(n: int) -> list[tuple[int, ...]]:
     """All sorted periodic multisets on n vertices with minimum 0."""
+    from .diffusion import fire_complete
+
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > UNLABELLED_CAP:
@@ -238,6 +239,9 @@ def brute_force_labelled(n: int) -> int:
     Scans every vector in [0, 2n]^n with minimum 0 and keeps those that the
     generic engine maps back to themselves after two firings.
     """
+    from .diffusion import is_period_config
+    from .graphs import complete
+
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > LABELLED_CAP:

@@ -1,6 +1,7 @@
 import ast
 import copy
 import io
+import json
 import os
 import pickle
 import subprocess
@@ -30,11 +31,51 @@ REMOVED = (
     "CharacteristicRoots",
 )
 
+LIBRARY_MODULES = ("graphs", "diffusion", "polyomino", "bijection", "counting")
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """Stdout of `code` run in a new interpreter that finds this boardpile;
+    -S keeps site's .pth files, which may import modules themselves, out of it."""
+    src = str(Path(boardpile.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return result.stdout
+
+
+# Run before anything else has imported a library module: the submodules
+# resolve as attributes of the package (as the benchmark's tracer reaches them),
+# and every exported name, by attribute or by `import *`, is the object of the
+# module that defines it.
+EXPORT_PROBE = f"""\
+import sys
+import boardpile
+for name in {LIBRARY_MODULES!r}:
+    assert "boardpile." + name not in sys.modules, name
+    assert getattr(boardpile, name) is sys.modules["boardpile." + name], name
+assert set(boardpile.__all__) <= set(dir(boardpile))
+namespace = {{}}
+exec("from boardpile import *", namespace)
+assert set(namespace) - {{"__builtins__"}} == set(boardpile.__all__)
+for name in boardpile.__all__:
+    value = namespace[name]
+    home = value.__module__
+    assert home.startswith("boardpile.") and getattr(sys.modules[home], name) is value, name
+    assert getattr(boardpile, name) is value, name
+print("ok")
+"""
+
 
 def test_every_exported_name_resolves():
     missing = [name for name in boardpile.__all__ if not hasattr(boardpile, name)]
     assert missing == []
     assert len(set(boardpile.__all__)) == len(boardpile.__all__)
+    assert fresh_python(EXPORT_PROBE) == "ok\n"
 
 
 def test_removed_names_are_not_exported():
@@ -142,15 +183,44 @@ def test_result_values_are_tuples():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_typing():
-    # each of these costs the CLI's cold start milliseconds on every run; -S
-    # keeps site's .pth files, which may import typing themselves, out of it
-    src = str(Path(boardpile.__file__).resolve().parents[1])
+    # each of these costs the CLI's cold start milliseconds on every run
     probe = "import sys, boardpile.cli; print(*sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))"
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert result.stdout.split() == []
+    assert fresh_python(probe).split() == []
+
+
+# argv[1] is "package" (import boardpile alone) or "cli" (import boardpile.cli
+# and run main on the rest); the last line lists the boardpile modules loaded
+FOOTPRINT_PROBE = """\
+import sys
+import boardpile
+if sys.argv[1] == "cli":
+    import boardpile.cli
+    if sys.argv[2:]:
+        assert boardpile.cli.main(sys.argv[2:]) == 0
+print(*sorted(name for name in sys.modules if name.split(".")[0] == "boardpile"))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["package"], []),
+        (["cli"], ["cli"]),
+        (["cli", "enumerate", "--n", "1", "--count-only"], ["cli", "polyomino"]),
+        (["cli", "count", "--mode", "gf", "--n", "5"], ["cli", "counting"]),
+        (["cli", "period", "GRAPH", "CONFIG"], ["cli", "diffusion", "graphs"]),
+        (
+            ["cli", "verify", "--max-unlabelled", "1", "--max-labelled", "1", "--max-reflect", "1"],
+            ["bijection", "cli", "counting", "diffusion", "graphs", "polyomino"],
+        ),
+    ],
+    ids=["package", "cli", "enumerate", "count", "period", "verify"],
+)
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
+    # every library module a run loads it also compiles, where no bytecode is cached
+    documents = {"GRAPH": {"family": "path", "n": 5}, "CONFIG": {"stacks": [0, 2, 0, 4, 1]}}
+    for name, doc in documents.items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    argv = [str(tmp_path / arg) if arg in documents else arg for arg in argv]
+    last_line = fresh_python(FOOTPRINT_PROBE, *argv).splitlines()[-1]
+    assert last_line.split() == ["boardpile", *(f"boardpile.{name}" for name in loaded)]

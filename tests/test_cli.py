@@ -688,15 +688,15 @@ def test_count_needs_exactly_one_target(capsys):
     assert code == 2
 
 
-def test_count_brute_cap(capsys):
-    code, _, err = invoke(["count", "--mode", "brute", "--n", "9"], capsys)
-    assert code == 2
-    assert "capped" in err
-    # refused before any scan: the scans for n = 1..8 alone take seconds
-    started = time.perf_counter()
-    code, out, err = invoke(["count", "--mode", "brute", "--upto", "9"], capsys)
-    assert time.perf_counter() - started < 1.0
-    assert (code, out, err) == (2, "", "error: --upto for mode 'brute' is capped at 8\n")
+@pytest.mark.parametrize("mode, cap", [("brute", 8), ("enumerate", 15)], ids=["brute", "enumerate"])
+def test_count_cap(capsys, mode, cap):
+    # refused before any walk: the scans for n = 1..8 alone take seconds, and
+    # the enumeration at 15 cells alone about eight
+    for flag in ("--n", "--upto"):
+        started = time.perf_counter()
+        code, out, err = invoke(["count", "--mode", mode, flag, str(cap + 1)], capsys)
+        assert time.perf_counter() - started < 1.0
+        assert (code, out, err) == (2, "", f"error: {flag} for mode {mode!r} is capped at {cap}\n")
 
 
 # --- verify -------------------------------------------------------------------------
@@ -796,7 +796,10 @@ class ClosedPipe(io.StringIO):
         ["verify", "--max-unlabelled", "1", "--max-labelled", "1", "--max-reflect", "1"],
     ],
 )
-def test_closed_stdout_exits_2_quietly(monkeypatch, capsys, argv):
+def test_closed_stdout_exits_2_quietly(capsys, monkeypatch, argv):
+    # capsys first: monkeypatch's undo then runs before capsys's teardown, which
+    # restores the real stdout; the other order leaves sys.stdout on capsys's
+    # closed buffer, and under pytest -s the session's last print fails on it
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     code = main(argv)
     assert (code, capsys.readouterr().err) == (2, "")
