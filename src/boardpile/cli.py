@@ -214,10 +214,10 @@ def _trajectory_text(g: graphs.Graph, stacks: tuple, steps: int, fmt: str) -> It
 
 
 def _cmd_simulate(args) -> int:
-    g = _load_graph(args.graph)
-    stacks = _load_stacks(args.config, g)
     if args.steps < 0:
         raise InputError("--steps must be nonnegative")
+    g = _load_graph(args.graph)
+    stacks = _load_stacks(args.config, g)
     with _unlimited_int_digits():
         _emit(_trajectory_text(g, stacks, args.steps, args.format), args.out)
     return 0
@@ -226,11 +226,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_period(args) -> int:
     from . import diffusion
 
-    g = _load_graph(args.graph)
-    stacks = _load_stacks(args.config, g)
     max_steps = diffusion.DEFAULT_MAX_STEPS if args.max_steps is None else args.max_steps
     if max_steps < 1:
         raise InputError("--max-steps must be at least 1")
+    g = _load_graph(args.graph)
+    stacks = _load_stacks(args.config, g)
     report = diffusion.detect_period(g, stacks, max_steps=max_steps)
     with _unlimited_int_digits():
         # json.dumps(..., indent=2) of {"preperiod", "period", "configs"}
@@ -303,66 +303,56 @@ def _cmd_map(args) -> int:
     return 0 if out.get("fire_reflect", True) else 1
 
 
-def _count_cap(mode: str) -> int | None:
-    """The largest n that mode counts, for the two walks whose cost grows
-    exponentially with n; None for the others."""
+def _count_method(mode: str) -> tuple:
+    """mode's a(n) alone, its table a(1)..a(upto), and the largest n it counts
+    or None.  The two walks, whose cost grows exponentially with n, are capped
+    and build their table one size at a time; the others build a whole table
+    anyway, and the labelled count is its table's last row."""
     from . import counting
 
-    return {"brute": counting.UNLABELLED_CAP, "enumerate": _ENUMERATE_CAP}.get(mode)
+    one, table, cap = {
+        "recurrence": (counting.recurrence_count, counting.recurrence_counts, None),
+        "gf": (counting.gf_coefficient, counting.gf_coefficients, None),
+        "labelled": (None, counting.labelled_period_counts, None),
+        "enumerate": (_walked_count, None, _ENUMERATE_CAP),
+        "brute": (_scanned_count, None, counting.UNLABELLED_CAP),
+    }[mode]
+    return (
+        one or (lambda n: table(n)[-1]),
+        table or (lambda upto: [one(k) for k in range(1, upto + 1)]),
+        cap,
+    )
 
 
-def _count_table(mode: str, upto: int) -> list[int]:
+def _walked_count(n: int) -> int:
+    from . import polyomino
+
+    return sum(1 for _ in polyomino.enumerate_board_pile(n))
+
+
+def _scanned_count(n: int) -> int:
     from . import counting
 
-    # the recurrence, the series and the transfer matrix each build a whole table anyway
-    if mode == "recurrence":
-        return counting.recurrence_counts(upto)
-    if mode == "gf":
-        return counting.gf_coefficients(upto)
-    if mode == "labelled":
-        return counting.labelled_period_counts(upto)
-    return [_count_one(mode, k) for k in range(1, upto + 1)]
-
-
-def _count_one(mode: str, n: int) -> int:
-    from . import counting
-
-    if n < 1:
-        raise InputError("--n must be at least 1")
-    cap = _count_cap(mode)
-    if cap is not None and n > cap:
-        raise InputError(f"--n for mode {mode!r} is capped at {cap}")
-    if mode == "recurrence":
-        return counting.recurrence_count(n)
-    if mode == "gf":
-        return counting.gf_coefficient(n)
-    if mode == "labelled":
-        return counting.labelled_period_counts(n)[-1]
-    if mode == "enumerate":
-        from . import polyomino
-
-        return sum(1 for _ in polyomino.enumerate_board_pile(n))
-    if mode == "brute":
-        return len(counting.brute_force_period_multisets(n))
-    raise InputError(f"unknown mode {mode!r}")
+    return len(counting.brute_force_period_multisets(n))
 
 
 def _cmd_count(args) -> int:
     if (args.n is None) == (args.upto is None):
         raise InputError("give exactly one of --n or --upto")
-    if args.n is not None:
-        value = _count_one(args.mode, args.n)
+    flag, size = ("--n", args.n) if args.upto is None else ("--upto", args.upto)
+    if size < 1:
+        raise InputError(f"{flag} must be at least 1")
+    one, table, cap = _count_method(args.mode)
+    if cap is not None and size > cap:
+        raise InputError(f"{flag} for mode {args.mode!r} is capped at {cap}")
+    if args.upto is None:
+        value = one(size)
         with _unlimited_int_digits():
-            text = json.dumps({"n": args.n, "count": str(value)}) + "\n"
+            text = json.dumps({"n": size, "count": str(value)}) + "\n"
     else:
-        if args.upto < 1:
-            raise InputError("--upto must be at least 1")
-        cap = _count_cap(args.mode)
-        if cap is not None and args.upto > cap:
-            raise InputError(f"--upto for mode {args.mode!r} is capped at {cap}")
-        table = _count_table(args.mode, args.upto)
+        rows = table(size)
         with _unlimited_int_digits():
-            text = "n,count\n" + "".join(f"{k},{v}\n" for k, v in enumerate(table, start=1))
+            text = "n,count\n" + "".join(f"{k},{v}\n" for k, v in enumerate(rows, start=1))
     _emit([text], args.out)
     return 0
 
@@ -373,12 +363,11 @@ def _cmd_count(args) -> int:
 def verify_count_agreement(n_max: int) -> tuple[bool, str]:
     """Recurrence, series, top-block count and enumeration agree with the
     reference table for n=1..n_max."""
-    from . import counting, polyomino
+    from . import counting
 
-    rec = counting.recurrence_counts(n_max)
-    gf = counting.gf_coefficients(n_max)
+    # the tables count --upto prints, beside the DP that count does not offer
+    rec, gf, enum = (_count_method(mode)[1](n_max) for mode in ("recurrence", "gf", "enumerate"))
     blocks = counting._top_block_counts(n_max, labelled=False)
-    enum = [sum(1 for _ in polyomino.enumerate_board_pile(k)) for k in range(1, n_max + 1)]
     ok = rec == gf == blocks == enum and tuple(rec) == counting.REFERENCE_COUNTS[:n_max]
     detail = f"n=1..{n_max}: " + ", ".join(str(v) for v in rec)
     return ok, detail

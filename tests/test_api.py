@@ -150,6 +150,8 @@ def test_result_classes_behave_as_values(value, twin, other, text, field):
     assert repr(value) == text
     with pytest.raises(AttributeError):
         setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
     for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
         assert type(copied) is type(value)
         assert copied == value and hash(copied) == hash(value)

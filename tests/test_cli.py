@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import boardpile
+import boardpile.bijection as bijection
 import boardpile.counting as counting
 from boardpile.cli import main, verify_count_agreement
 from boardpile.graphs import Graph
@@ -572,10 +573,24 @@ def test_documents_require_exact_integers(tmp_path, capsys, command, docs, field
             [{"strips": [[0, 1]], "stacks": [0]}],
             "input document has both 'strips' and 'stacks': give one",
         ),
+        (
+            "period",
+            ["missing.json", P5_CONFIG],
+            "cannot read graph document from missing.json: "
+            "[Errno 2] No such file or directory: 'missing.json'",
+        ),
+        ("period", [[0, 1], P5_CONFIG], "graph document must be a JSON object"),
     ],
 )
-def test_document_errors_name_their_document_once(tmp_path, capsys, command, docs, line):
-    paths = [write_doc(tmp_path, f"doc{i}.json", doc) for i, doc in enumerate(docs)]
+def test_document_errors_name_their_document_once(
+    tmp_path, monkeypatch, capsys, command, docs, line
+):
+    # a string names a file, relative to tmp_path, that is never written
+    monkeypatch.chdir(tmp_path)
+    paths = [
+        doc if isinstance(doc, str) else write_doc(tmp_path, f"doc{i}.json", doc)
+        for i, doc in enumerate(docs)
+    ]
     steps = ["--steps", "1"] if command == "simulate" else []
     assert invoke([command, *paths, *steps], capsys) == (2, "", f"error: {line}\n")
 
@@ -634,9 +649,13 @@ def test_count_single_n_builds_no_table(mode, monkeypatch, capsys):
     assert json.loads(out) == {"n": 30, "count": str(counting.recurrence_count(30))}
 
 
-@pytest.mark.parametrize("mode", ["recurrence", "gf"])
-def test_count_single_n_equals_table_rows(mode, capsys):
-    code, table, _ = invoke(["count", "--mode", mode, "--upto", "40"], capsys)
+@pytest.mark.parametrize(
+    "mode, upto",
+    [("recurrence", 40), ("gf", 40), ("enumerate", 6), ("brute", 5)],
+    ids=["recurrence", "gf", "enumerate", "brute"],
+)
+def test_count_single_n_equals_table_rows(mode, upto, capsys):
+    code, table, _ = invoke(["count", "--mode", mode, "--upto", str(upto)], capsys)
     assert code == 0
     for k, row in enumerate(table.splitlines()[1:], start=1):
         code, out, _ = invoke(["count", "--mode", mode, "--n", str(k)], capsys)
@@ -729,20 +748,43 @@ def test_verify_trivial_caps_pass(capsys):
     assert code == 0
 
 
-def test_verify_reports_injected_fault(monkeypatch, capsys):
-    monkeypatch.setattr(counting, "recurrence_counts", lambda n: [1] * n)
+# each check, with a fault in the one function only it calls, and its FAIL detail
+VERIFY_FAULTS = [
+    (
+        "count-triple-agreement",
+        counting,
+        "recurrence_counts",
+        lambda n: [1] * n,
+        "n=1..11: " + ", ".join(["1"] * 11),
+    ),
+    ("bijection-image", counting, "brute_force_period_multisets", lambda n: [], "mismatch at n=1"),
+    (
+        "fire-reflect",
+        bijection,
+        "check_fire_reflect",
+        lambda x: False,
+        "firing does not match reflection for ((0, 1),)",
+    ),
+    ("labelled-oracle", counting, "brute_force_labelled", lambda n: 0, "n=1: formula 1 vs scan 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "check, module, function, fault, detail", VERIFY_FAULTS, ids=[case[0] for case in VERIFY_FAULTS]
+)
+def test_verify_reports_injected_fault(monkeypatch, capsys, check, module, function, fault, detail):
+    monkeypatch.setattr(module, function, fault)
     code, out, _ = invoke(
         ["verify", "--max-unlabelled", "2", "--max-labelled", "2", "--max-reflect", "2"],
         capsys,
     )
     assert code == 1
-    assert any(
-        line.startswith("FAIL") and "count-triple-agreement" in line
-        for line in out.splitlines()
-    )
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        f"FAIL  {check}: {detail}"
+    ]
     summary = json.loads(out.splitlines()[-1])
     assert summary["ok"] is False
-    assert summary["checks"]["count-triple-agreement"] is False
+    assert [name for name, ok in summary["checks"].items() if not ok] == [check]
 
 
 def test_verify_count_agreement_checks_the_top_block_count(monkeypatch):
@@ -756,6 +798,23 @@ def test_verify_validates_caps(capsys):
     code, _, err = invoke(["verify", "--max-labelled", "9"], capsys)
     assert code == 2
     assert "max-labelled" in err
+
+
+# the graph and configuration documents do not exist: a bad flag is refused first
+FLAG_FAULTS = [
+    (["simulate", "missing.json", "missing.json", "--steps", "-1"], "--steps must be nonnegative"),
+    (["period", "missing.json", "missing.json", "--max-steps", "0"], "--max-steps must be at least 1"),
+    (["count", "--mode", "recurrence", "--n", "0"], "--n must be at least 1"),
+    (["count", "--mode", "recurrence", "--upto", "0"], "--upto must be at least 1"),
+    (["verify", "--max-unlabelled", "9"], "--max-unlabelled must be in 1..8"),
+    (["verify", "--max-reflect", "12"], "--max-reflect must be in 1..11"),
+]
+
+
+@pytest.mark.parametrize("argv, line", FLAG_FAULTS, ids=[argv[-2] for argv, _ in FLAG_FAULTS])
+def test_flag_faults_exit_2(tmp_path, monkeypatch, capsys, argv, line):
+    monkeypatch.chdir(tmp_path)
+    assert invoke(argv, capsys) == (2, "", f"error: {line}\n")
 
 
 # --- general ------------------------------------------------------------------------

@@ -89,6 +89,8 @@ def test_recurrence_single_values():
 def test_recurrence_rejects_zero():
     with pytest.raises(ValueError):
         recurrence_counts(0)
+    with pytest.raises(ValueError):
+        gf_coefficients(0)
 
 
 def test_gf_first_eleven():
@@ -287,10 +289,12 @@ def test_brute_force_counts_match_recurrence():
 
 
 def test_brute_force_caps():
-    with pytest.raises(ValueError, match="cap"):
-        brute_force_period_multisets(UNLABELLED_CAP + 1)
-    with pytest.raises(ValueError, match="cap"):
-        brute_force_labelled(LABELLED_CAP + 1)
+    scans = [(brute_force_period_multisets, UNLABELLED_CAP), (brute_force_labelled, LABELLED_CAP)]
+    for scan, cap in scans:
+        with pytest.raises(ValueError, match="cap"):
+            scan(cap + 1)
+        with pytest.raises(ValueError, match="at least 1"):
+            scan(0)
     # just under the cap the scan runs, and agrees with the recurrence
     below = UNLABELLED_CAP - 1
     assert len(brute_force_period_multisets(below)) == recurrence_counts(below)[-1]

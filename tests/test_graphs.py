@@ -71,6 +71,8 @@ def test_duplicate_edge_is_named_however_far_apart_the_copies_are():
 def test_from_edge_list_rejects_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         Graph(2, [(0, 2)])
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        Graph(-1)
 
 
 def test_graph_rejects_entries_that_are_not_pairs():
