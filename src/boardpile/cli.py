@@ -8,21 +8,22 @@ All documents are UTF-8 JSON objects:
 * configuration: {"stacks": [s_0, ..., s_{N-1}]};
 * polyomino: {"strips": [[d, length], ...]}, bottom strip first.
 
-Integer fields take JSON integers only.  Counts are serialized as decimal
-strings so arbitrary-precision values survive any JSON parser.  Exit codes:
-0 success, 1 domain/engine error, 2 malformed or ambiguous input, an
-unwritable output path or a closed stdout.
+Integer fields take JSON integers only, parsed under the int->str digit
+limit main() was entered with; the rest runs with the limit lifted.  Counts
+are serialized as decimal strings so arbitrary-precision values survive any
+JSON parser.  Exit codes: 0 success, 1 domain/engine error, 2 malformed or
+ambiguous input, a request past a named cap, an unwritable output path or a
+closed stdout.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import cycle, islice
+from functools import lru_cache
 
 # Each handler imports the library modules it runs, so a run loads only those.
 # These names serve the annotations alone.
@@ -34,12 +35,23 @@ if TYPE_CHECKING:
 # (66,441 of them at 11, and about 3.2 times as many per cell beyond)
 _REFLECT_CAP = 11
 
-# count's enumeration walks every polyomino of each size asked for: 7,015,418
-# of them at 15, and about 3.2 times as many per cell beyond
+# count's enumeration and enumerate --count-only walk every polyomino of each
+# size asked for: 7,015,418 of them at 15, and about 3.2 times as many per
+# cell beyond
 _ENUMERATE_CAP = 15
+
+# render's drawing holds one character per cell and per blank left of a strip
+# (0.1 s and 34 MB at the cap); map turns strips into one stack per cell, each
+# an indented JSON line (0.5 s and 100 MB at the cap, 0.7 s with --check)
+_RENDER_CAP = 10**7
+_MAP_CAP = 10**6
 
 # graph families by their constructor's name in graphs
 _FAMILIES = ("complete", "cycle", "path", "star")
+
+# the int->str digit limit main() was entered with, which documents are parsed
+# under: main() lifts it for the rest, since counts and stacks outgrow it
+_document_digits = sys.get_int_max_str_digits()
 
 
 class InputError(Exception):
@@ -57,6 +69,8 @@ def _read_document(path: str, name: str) -> dict:
                 data = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {name} from {path}: {exc}") from exc
+    unlimited = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(_document_digits)
     try:
         doc = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -68,6 +82,8 @@ def _read_document(path: str, name: str) -> dict:
     except (ValueError, RecursionError) as exc:
         # integer literals past the int->str digit limit, nesting past the stack
         raise InputError(f"invalid JSON in {name}: {exc}") from exc
+    finally:
+        sys.set_int_max_str_digits(unlimited)
     if not isinstance(doc, dict):
         raise InputError(f"{name} must be a JSON object")
     return doc
@@ -149,19 +165,6 @@ def _strips_doc(x: polyomino.BoardPilePolyomino) -> dict:
     return {"strips": x.strips}
 
 
-@contextlib.contextmanager
-def _unlimited_int_digits():
-    # Exact counts and stacks outgrow the interpreter's int->str digit limit
-    # (4300 digits by default); lift it only while writing them, never while
-    # parsing input.
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(previous)
-
-
 def _emit(chunks: Iterable[str], out_path: str | None) -> None:
     """Write the chunks in order, each as soon as it is made."""
     if out_path and out_path != "-":
@@ -192,34 +195,28 @@ def _trajectory_text(g: graphs.Graph, stacks: tuple, steps: int, fmt: str) -> It
 
     # "json" is json.dumps(..., indent=2) of the {"stacks": ...} list, laid out
     # here because json's indented encoder is pure Python.  Each row is written
-    # as it is fired; once the cycle closes, the rest cycles through its rows.
+    # as it is fired; after the close the rows are the cycle's one or two
+    # tuples again, so the text of the last two rows is kept.
     if fmt == "csv":
-        head, sep, tail = "", "\n", "\n"
+        head, sep, tail, row = "", "\n", "\n", lambda c: ",".join(map(str, c))
     else:
-        head, sep, tail = "[\n", ",\n", "\n]\n"
-    orbit = diffusion._orbit(g, stacks)
-    texts: list[str] = []  # the last two rows
+        head, sep, tail, row = "[\n", ",\n", "\n]\n", lambda c: _stacks_block(c, "  ")
+    text = lru_cache(maxsize=2)(row)
     gap = head
-    try:
-        for t in range(steps + 1):
-            c = next(orbit)
-            text = ",".join(map(str, c)) if fmt == "csv" else _stacks_block(c, "  ")
-            texts = [*texts[-1:], text]
-            yield gap + text
-            gap = sep
-    except StopIteration as closed:
-        rows = [sep + text for text in texts[-len(closed.value) :]]
-        yield from islice(cycle(rows), steps + 1 - t)
+    for c in diffusion._trajectory(g, stacks, steps):
+        yield gap + text(c)
+        gap = sep
     yield tail
 
 
 def _cmd_simulate(args) -> int:
     if args.steps < 0:
         raise InputError("--steps must be nonnegative")
+    if args.steps > sys.maxsize:
+        raise InputError(f"--steps is capped at sys.maxsize = {sys.maxsize}")
     g = _load_graph(args.graph)
     stacks = _load_stacks(args.config, g)
-    with _unlimited_int_digits():
-        _emit(_trajectory_text(g, stacks, args.steps, args.format), args.out)
+    _emit(_trajectory_text(g, stacks, args.steps, args.format), args.out)
     return 0
 
 
@@ -232,14 +229,13 @@ def _cmd_period(args) -> int:
     g = _load_graph(args.graph)
     stacks = _load_stacks(args.config, g)
     report = diffusion.detect_period(g, stacks, max_steps=max_steps)
-    with _unlimited_int_digits():
-        # json.dumps(..., indent=2) of {"preperiod", "period", "configs"}
-        configs = ",\n".join(_stacks_block(c, "    ") for c in report.period_configs)
-        text = (
-            f'{{\n  "preperiod": {report.preperiod},\n  "period": {report.period},\n'
-            f'  "configs": [\n{configs}\n  ]\n}}\n'
-        )
-        _emit([text], args.out)
+    # json.dumps(..., indent=2) of {"preperiod", "period", "configs"}
+    configs = ",\n".join(_stacks_block(c, "    ") for c in report.period_configs)
+    text = (
+        f'{{\n  "preperiod": {report.preperiod},\n  "period": {report.period},\n'
+        f'  "configs": [\n{configs}\n  ]\n}}\n'
+    )
+    _emit([text], args.out)
     return 0
 
 
@@ -248,11 +244,13 @@ def _cmd_enumerate(args) -> int:
 
     if args.n < 1:
         raise InputError("--n must be at least 1")
-    stream = polyomino.enumerate_board_pile(args.n)
     if args.count_only:
-        total = sum(1 for _ in stream)
-        sys.stdout.write(f"{total}\n")
-    elif args.ascii:
+        if args.n > _ENUMERATE_CAP:
+            raise InputError(f"--n for --count-only is capped at {_ENUMERATE_CAP}")
+        sys.stdout.write(f"{_walked_count(args.n)}\n")
+        return 0
+    stream = polyomino.enumerate_board_pile(args.n)
+    if args.ascii:
         # each block goes out as it is drawn: a blank line between blocks
         separator = ""
         for x in stream:
@@ -268,10 +266,13 @@ def _cmd_enumerate(args) -> int:
 def _cmd_render(args) -> int:
     from . import polyomino
 
-    doc = _read_document(args.polyomino, "polyomino document")
-    # the strip check's message can name values past the digit limit
-    with _unlimited_int_digits():
-        x = _polyomino(doc)
+    x = _polyomino(_read_document(args.polyomino, "polyomino document"))
+    size = sum(start + length for start, length in polyomino.layout(x))
+    if size > _RENDER_CAP:
+        raise InputError(
+            f"polyomino document: field 'strips': the drawing would take {size} "
+            f"characters, capped at {_RENDER_CAP}"
+        )
     sys.stdout.write(polyomino.render_ascii(x) + "\n")
     return 0
 
@@ -283,23 +284,22 @@ def _cmd_map(args) -> int:
     doc = _read_document(args.document, name)
     if "strips" in doc and "stacks" in doc:
         raise InputError(f"{name} has both 'strips' and 'stacks': give one")
-    # normalizing and mapping can outgrow the digit limit, in the output or
-    # in an error message that names the values
-    with _unlimited_int_digits():
-        if "strips" in doc:
-            x = _polyomino(doc)
-            out = {"stacks": list(bijection.poly_to_config(x))}
-        elif "stacks" in doc:
-            stacks = _integers(doc, name, "stacks")
-            if not stacks:
-                raise InputError(f"{name}: field 'stacks': expected a nonempty list of integers")
-            x = bijection.config_to_poly(diffusion.normalize(stacks))
-            out = _strips_doc(x)
-        else:
-            raise InputError(f"{name} needs either 'strips' or 'stacks'")
-        if args.check:
-            out["fire_reflect"] = bijection.check_fire_reflect(x)
-        _emit([json.dumps(out, indent=2) + "\n"], args.out)
+    if "strips" in doc:
+        x = _polyomino(doc)
+        if x.cells > _MAP_CAP:
+            raise InputError(f"{name}: field 'strips': {x.cells} cells, capped at {_MAP_CAP}")
+        out = {"stacks": list(bijection.poly_to_config(x))}
+    elif "stacks" in doc:
+        stacks = _integers(doc, name, "stacks")
+        if not stacks:
+            raise InputError(f"{name}: field 'stacks': expected a nonempty list of integers")
+        x = bijection.config_to_poly(diffusion.normalize(stacks))
+        out = _strips_doc(x)
+    else:
+        raise InputError(f"{name} needs either 'strips' or 'stacks'")
+    if args.check:
+        out["fire_reflect"] = bijection.check_fire_reflect(x)
+    _emit([json.dumps(out, indent=2) + "\n"], args.out)
     return 0 if out.get("fire_reflect", True) else 1
 
 
@@ -346,13 +346,10 @@ def _cmd_count(args) -> int:
     if cap is not None and size > cap:
         raise InputError(f"{flag} for mode {args.mode!r} is capped at {cap}")
     if args.upto is None:
-        value = one(size)
-        with _unlimited_int_digits():
-            text = json.dumps({"n": size, "count": str(value)}) + "\n"
+        text = json.dumps({"n": size, "count": str(one(size))}) + "\n"
     else:
         rows = table(size)
-        with _unlimited_int_digits():
-            text = "n,count\n" + "".join(f"{k},{v}\n" for k, v in enumerate(rows, start=1))
+        text = "n,count\n" + "".join(f"{k},{v}\n" for k, v in enumerate(rows, start=1))
     _emit([text], args.out)
     return 0
 
@@ -507,11 +504,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    global _document_digits
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    _document_digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except InputError as exc:
@@ -523,6 +523,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, RuntimeError) as exc:  # every domain and engine error subclasses one
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(_document_digits)
 
 
 def run() -> None:

@@ -7,9 +7,10 @@ constant to every stack never changes which chips move, and every trajectory
 eventually settles into a cycle of length 1 or 2.  So one loop, _orbit(),
 fires every trajectory until C_t equals C_{t-1} or C_{t-2}, holding three
 configurations and a checkpoint that raises PeriodNotOneOrTwo on any longer
-cycle.  run() fires min(steps, preperiod + period) times and repeats the
-cycle's tuples after the close, detect_period() puts a step budget around the
-loop, and `boardpile simulate` streams it in O(n) memory for any step count.
+cycle.  _trajectory() fires min(steps, preperiod + period) times and repeats
+the cycle's tuples after the close: run() lists it, and `boardpile simulate`
+streams it in O(n) memory for any step count.  detect_period() puts a step
+budget around the loop.
 
 One step on a graph with n vertices and m edges costs O(m) when the graph
 is sparse: every edge is visited.  Along a trajectory, though, C_t - C_{t-2}
@@ -26,8 +27,9 @@ once: fire_complete() is the same step on a multiset, sorted afterwards.
 
 from __future__ import annotations
 
+import sys
 from collections import deque, namedtuple
-from collections.abc import Generator, Iterable, Sequence
+from collections.abc import Generator, Iterable, Iterator, Sequence
 from itertools import compress, count, cycle, islice
 from operator import ne
 
@@ -246,24 +248,31 @@ def _orbit(g: Graph, start: Config) -> Generator[Config, None, tuple[Config, ...
         oldest, older, previous = older, previous, current
 
 
+def _trajectory(g: Graph, start: Config, steps: int) -> Iterator[Config]:
+    """Yield C_0, ..., C_steps: fired up to the close, then the cycle's tuples repeated."""
+    orbit = _orbit(g, start)
+    for t in range(steps + 1):
+        try:
+            yield next(orbit)
+        except StopIteration as closed:
+            yield from islice(cycle(closed.value), steps + 1 - t)
+            return
+
+
 def run(g: Graph, start: Sequence[int], steps: int) -> list[Config]:
     """Trajectory [C_0, C_1, ..., C_steps] from the given start.
 
     Fires min(steps, preperiod + period) times.  Once C_t equals C_{t-1}
     (period 1) or C_{t-2} (period 2) the cycle has closed: C_t and every
     later entry are the cycle's own tuples repeated, one list slot per step.
-    Raises PeriodNotOneOrTwo if the trajectory reaches a longer cycle.
+    Raises ValueError unless 0 <= steps <= sys.maxsize, and
+    PeriodNotOneOrTwo if the trajectory reaches a longer cycle.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    orbit = _orbit(g, _config_on(g, start))
-    trajectory: list[Config] = []
-    try:
-        while len(trajectory) <= steps:
-            trajectory.append(next(orbit))
-    except StopIteration as closed:
-        trajectory.extend(islice(cycle(closed.value), steps + 1 - len(trajectory)))
-    return trajectory
+    if steps > sys.maxsize:
+        raise ValueError(f"steps must be at most sys.maxsize = {sys.maxsize}")
+    return list(_trajectory(g, _config_on(g, start), steps))
 
 
 def detect_period(g: Graph, start: Sequence[int], max_steps: int = DEFAULT_MAX_STEPS) -> PeriodReport:

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -66,3 +67,15 @@ def pytest_sessionfinish(session, exitstatus):
 def fire_audit():
     """The session-wide audit."""
     return _audit
+
+
+@pytest.fixture(autouse=True)
+def digit_limit_kept():
+    """Fail any test that leaves the int->str digit limit other than it found it:
+    the CLI lifts the limit while it runs and must restore it on every exit."""
+    limit = sys.get_int_max_str_digits()
+    yield
+    left = sys.get_int_max_str_digits()
+    if left != limit:
+        sys.set_int_max_str_digits(limit)
+        pytest.fail(f"int->str digit limit left at {left}, found at {limit}")

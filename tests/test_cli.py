@@ -304,9 +304,7 @@ def test_simulate_writes_stacks_past_the_digit_limit(tmp_path, capsys):
     c = write_doc(tmp_path, "c.json", {"stacks": stacks})
     trajectory = reference_trajectory(graph, stacks, 2)
     expected = dumps_unlimited([{"stacks": list(row)} for row in trajectory])
-    limit = sys.get_int_max_str_digits()
     assert invoke(["simulate", g, c, "--steps", "2"], capsys) == (0, expected, "")
-    assert sys.get_int_max_str_digits() == limit
 
 
 def test_period_writes_stacks_past_the_digit_limit(tmp_path, capsys):
@@ -319,9 +317,7 @@ def test_period_writes_stacks_past_the_digit_limit(tmp_path, capsys):
         "period": report.period,
         "configs": [{"stacks": list(row)} for row in report.period_configs],
     }
-    limit = sys.get_int_max_str_digits()
     assert invoke(["period", g, c], capsys) == (0, dumps_unlimited(doc), "")
-    assert sys.get_int_max_str_digits() == limit
 
 
 # --- enumerate / render ----------------------------------------------------------
@@ -331,6 +327,11 @@ def test_enumerate_count_only(capsys):
     code, out, _ = invoke(["enumerate", "--n", "4", "--count-only"], capsys)
     assert code == 0
     assert out.strip() == "19"
+    # the walk count --mode enumerate makes, under its cap and refused before it
+    started = time.perf_counter()
+    code, out, err = invoke(["enumerate", "--n", "16", "--count-only"], capsys)
+    assert time.perf_counter() - started < 1.0
+    assert (code, out, err) == (2, "", "error: --n for --count-only is capped at 15\n")
 
 
 def test_enumerate_json_lines(capsys):
@@ -392,11 +393,9 @@ def test_render_names_an_offset_past_the_digit_limit(tmp_path, capsys):
     length = 9 * 10**4299
     p = tmp_path / "x.json"
     p.write_text(dumps_unlimited({"strips": [[0, length], [0, length]]}), encoding="utf-8")
-    limit = sys.get_int_max_str_digits()
     code, out, err = invoke(["render", str(p)], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: polyomino document: strips[1]: offset 0 outside 1..")
-    assert sys.get_int_max_str_digits() == limit
 
 
 def test_render_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
@@ -481,12 +480,30 @@ def test_map_needs_strips_or_stacks(tmp_path, capsys):
     assert "strips" in err and "stacks" in err
 
 
-def test_map_rejects_integer_past_digit_limit(tmp_path, capsys):
-    p = tmp_path / "c.json"
-    p.write_text('{"stacks": [' + "9" * 5000 + "]}", encoding="utf-8")
-    code, _, err = invoke(["map", str(p)], capsys)
-    assert code == 2
-    assert "invalid JSON" in err
+# one digit past the default int->str limit, in each field a document reader parses
+BIG = "9" * 4301
+P5_TEXT = json.dumps(P5_GRAPH)
+PAST_THE_LIMIT = {
+    "graph-n": ("simulate", ['{"n": ' + BIG + ', "edges": []}', '{"stacks": []}'], "graph"),
+    "edge": ("period", ['{"n": 2, "edges": [[0, ' + BIG + "]]}", '{"stacks": [0, 1]}'], "graph"),
+    "simulate-stacks": ("simulate", [P5_TEXT, '{"stacks": [' + BIG + "]}"], "configuration"),
+    "period-stacks": ("period", [P5_TEXT, '{"stacks": [' + BIG + "]}"], "configuration"),
+    "render-strips": ("render", ['{"strips": [[0, ' + BIG + "]]}"], "polyomino"),
+    "map-strips": ("map", ['{"strips": [[0, ' + BIG + "]]}"], "input"),
+    "map-stacks": ("map", ['{"stacks": [' + BIG + "]}"], "input"),
+}
+
+
+@pytest.mark.parametrize("command, texts, kind", PAST_THE_LIMIT.values(), ids=PAST_THE_LIMIT.keys())
+def test_documents_reject_integers_past_the_digit_limit(tmp_path, capsys, command, texts, kind):
+    paths = []
+    for i, text in enumerate(texts):
+        paths.append(tmp_path / f"doc{i}.json")
+        paths[-1].write_text(text, encoding="utf-8")
+    steps = ["--steps", "1"] if command == "simulate" else []
+    code, out, err = invoke([command, *map(str, paths), *steps], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: invalid JSON in {kind} document: ") and "4301 digits" in err
 
 
 def test_map_names_stacks_past_the_digit_limit(tmp_path, capsys):
@@ -494,11 +511,9 @@ def test_map_names_stacks_past_the_digit_limit(tmp_path, capsys):
     big = 10**4300 - 1
     p = tmp_path / "c.json"
     p.write_text(dumps_unlimited({"stacks": [-big, big]}), encoding="utf-8")
-    limit = sys.get_int_max_str_digits()
     code, out, err = invoke(["map", str(p)], capsys)
     assert (code, out) == (1, "")
     assert err.startswith("error: multiset (0, 1999") and "is not inside its own cycle" in err
-    assert sys.get_int_max_str_digits() == limit
 
 
 def test_map_rejects_nesting_past_recursion_limit(tmp_path, capsys):
@@ -580,6 +595,24 @@ def test_documents_require_exact_integers(tmp_path, capsys, command, docs, field
             "[Errno 2] No such file or directory: 'missing.json'",
         ),
         ("period", [[0, 1], P5_CONFIG], "graph document must be a JSON object"),
+        # refused before a drawing or a stack list is built
+        (
+            "render",
+            [{"strips": [[0, 10**30]]}],
+            f"polyomino document: field 'strips': the drawing would take {10**30} characters, "
+            "capped at 10000000",
+        ),
+        (
+            "render",
+            [{"strips": [[0, 2], [3, 10**12]]}],
+            "polyomino document: field 'strips': the drawing would take 1999999999999 "
+            "characters, capped at 10000000",
+        ),
+        (
+            "map",
+            [{"strips": [[0, 10**30]]}],
+            f"input document: field 'strips': {10**30} cells, capped at 1000000",
+        ),
     ],
 )
 def test_document_errors_name_their_document_once(
@@ -689,13 +722,11 @@ def test_count_labelled_large_n(capsys):
 
 def test_count_beyond_int_digit_limit(capsys):
     # a(20000) has 10,118 digits, more than the default int->str limit of 4300
-    limit = sys.get_int_max_str_digits()
     outputs = []
     for mode in ("recurrence", "gf"):
         code, out, err = invoke(["count", "--mode", mode, "--n", "20000"], capsys)
         assert code == 0, err
         outputs.append(out)
-        assert sys.get_int_max_str_digits() == limit
     assert outputs[0] == outputs[1]
     assert len(json.loads(outputs[0])["count"]) == 10118
 
@@ -817,6 +848,22 @@ def test_flag_faults_exit_2(tmp_path, monkeypatch, capsys, argv, line):
     assert invoke(argv, capsys) == (2, "", f"error: {line}\n")
 
 
+def test_simulate_refuses_steps_past_maxsize_before_writing(tmp_path, capsys):
+    # the trajectory closes at step 5, and no step count past sys.maxsize can be
+    # streamed to its end: nothing is written, not even the opening bracket
+    g = write_doc(tmp_path, "g.json", P5_GRAPH)
+    c = write_doc(tmp_path, "c.json", P5_CONFIG)
+    out_path = tmp_path / "traj.json"
+    steps = str(sys.maxsize + 1)
+    for out in ([], ["--out", str(out_path)]):
+        assert invoke(["simulate", g, c, "--steps", steps, *out], capsys) == (
+            2,
+            "",
+            f"error: --steps is capped at sys.maxsize = {sys.maxsize}\n",
+        )
+    assert not out_path.exists()
+
+
 # --- general ------------------------------------------------------------------------
 
 
@@ -864,12 +911,12 @@ def test_closed_stdout_exits_2_quietly(capsys, monkeypatch, argv):
     assert (code, capsys.readouterr().err) == (2, "")
 
 
-def boardpile_process(argv, stdout):
+def boardpile_process(argv, stdout, *interpreter_flags):
     # a block-buffered stdout, as in an ordinary shell pipeline
     src = str(Path(boardpile.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    command = [sys.executable, "-m", "boardpile", *argv]
+    command = [sys.executable, *interpreter_flags, "-m", "boardpile", *argv]
     return subprocess.Popen(command, stdout=stdout, stderr=subprocess.PIPE, env=env)
 
 
@@ -891,3 +938,20 @@ def test_pipe_closed_before_the_exit_flush_exits_2_without_a_traceback():
         os.close(write_end)
         _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (2, b"")
+
+
+def test_a_process_parses_documents_under_its_own_digit_limit(tmp_path):
+    # 700 digits pass the default limit but not this interpreter's 640; the
+    # count's 10,118 digits are written all the same
+    flags = ("-X", "int_max_str_digits=640")
+    p = tmp_path / "c.json"
+    p.write_text('{"stacks": [' + "9" * 700 + "]}", encoding="utf-8")
+    with boardpile_process(["map", str(p)], subprocess.PIPE, *flags) as proc:
+        out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out) == (2, b"")
+    assert err.startswith(b"error: invalid JSON in input document: ") and b"700 digits" in err
+    argv = ["count", "--mode", "gf", "--n", "20000"]
+    with boardpile_process(argv, subprocess.PIPE, *flags) as proc:
+        out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+    assert len(json.loads(out)["count"]) == 10118

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from itertools import combinations
 
@@ -213,9 +214,14 @@ def test_run_zero_steps():
     assert run(P5, P5_START, 0) == [P5_START]
 
 
-def test_run_negative_steps_rejected():
-    with pytest.raises(ValueError):
-        run(P5, P5_START, -1)
+def test_run_negative_steps_rejected(fire_audit):
+    # and so is a step count past sys.maxsize, which no list can hold: both
+    # before the first firing
+    before = fire_audit.calls
+    for steps in (-1, sys.maxsize + 1):
+        with pytest.raises(ValueError, match="steps must be"):
+            run(P5, P5_START, steps)
+    assert fire_audit.calls == before
 
 
 def test_run_composes():
