@@ -31,9 +31,9 @@ import sys
 from collections import deque, namedtuple
 from collections.abc import Generator, Iterable, Iterator, Sequence
 from itertools import compress, count, cycle, islice
-from operator import ne
+from operator import index, ne
 
-from .graphs import Graph
+from .graphs import Graph, _integer
 
 Config = tuple[int, ...]
 
@@ -157,8 +157,19 @@ def _fire_delta(
     return tuple(out)
 
 
+def _stacks(values: Iterable[int]) -> Config:
+    # held, so that a one-shot iterable can still name its bad value
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        for value in values:
+            _integer(value, "stack")
+        raise
+
+
 def _config_on(g: Graph, stacks: Sequence[int]) -> Config:
-    c = tuple(map(int, stacks))
+    c = _stacks(stacks)
     if len(c) != g.n:
         raise ValueError(f"configuration has {len(c)} stacks for a graph on {g.n} vertices")
     return c
@@ -181,7 +192,7 @@ def fire_complete(multiset: Iterable[int]) -> Config:
     Returns the sorted multiset after one step; equals sorting the result of
     fire() on K_n for any labelling of the input.
     """
-    values = tuple(map(int, multiset))
+    values = _stacks(multiset)
     if not values:
         raise ValueError("empty multiset")
     return tuple(sorted(_fire_rank(values)))
@@ -308,7 +319,7 @@ def detect_period(g: Graph, start: Sequence[int], max_steps: int = DEFAULT_MAX_S
 
 def normalize(stacks: Sequence[int]) -> Config:
     """Shift all stacks so the minimum becomes 0."""
-    c = tuple(map(int, stacks))
+    c = _stacks(stacks)
     if not c:
         raise ValueError("empty configuration")
     lo = min(c)

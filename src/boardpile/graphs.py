@@ -3,9 +3,18 @@
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import combinations, pairwise
+from itertools import chain, combinations, islice, pairwise, repeat
+from operator import eq, index, lt
 
 Edge = tuple[int, int]
+
+
+class _Shared(dict):
+    """One int object per vertex, made the first time the vertex is asked for."""
+
+    def __missing__(self, vertex: int) -> int:
+        self[vertex] = shared = index(vertex)
+        return shared
 
 
 class Graph:
@@ -13,7 +22,12 @@ class Graph:
 
     Vertices are the integers 0..n-1.  Edges are unordered pairs of distinct
     vertices, stored canonically as (u, v) with u < v, and the sorted tuple
-    `edges` is the graph's only copy of them.
+    `edges` is the graph's only copy of them.  The build costs O(m log m):
+    it checks each entry, sorts the keys u*n + v and decodes the edge tuples
+    from them in ascending order, all sharing one int object per vertex, so
+    a step walks the edges and their endpoints in the order they sit in
+    memory.  An edge list that is already canonical and ascending is checked
+    and re-tupled with the shared vertex ints, without a sort or a decode.
 
     `missing_pairs` picks how diffusion fires the graph.  On a dense graph,
     where C(n,2) - m + 3n < m for m edges, it holds the C(n,2) - m pairs
@@ -26,46 +40,61 @@ class Graph:
     __slots__ = ("n", "edges", "missing_pairs")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
+        n = _integer(n, "vertex count")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        canonical: list[Edge] = []
-        for pair in edges:
-            try:
-                u, v = pair
-            except (TypeError, ValueError):
-                raise ValueError(f"edge entry {pair!r}: expected exactly two endpoints") from None
-            u, v = int(u), int(v)
-            for endpoint in (u, v):
-                if not 0 <= endpoint < n:
-                    raise ValueError(
-                        f"edge ({u}, {v}): endpoint {endpoint} out of range for {n} vertices"
-                    )
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if u > v:
-                u, v = v, u
-            canonical.append((u, v))
-        canonical.sort()
-        # once sorted, copies of an edge sit side by side
-        for edge, following in pairwise(canonical):
-            if edge == following:
-                raise ValueError(f"duplicate edge {edge}")
-        missing_pairs = None
-        m = len(canonical)
-        if n * (n - 1) // 2 - m + 3 * n < m:
+        entries = edges if type(edges) is list else list(edges)
+        keys = _checked_keys(n, entries)
+        # canonical and ascending already, as every family constructor gives:
+        # the entries are read again, with no sort or decode.  A one-shot
+        # entry was spent by the check, so only lists and tuples qualify.
+        if all(map(lt, chain((0,), keys), keys)) and set(map(type, entries)) <= {list, tuple}:
+            # let go before the edges are made
+            keys = None
+            endpoints = entries
+        else:
+            keys = sorted(map(abs, keys))
+            # once sorted, copies of an edge sit side by side
+            if any(map(eq, keys, islice(keys, 1, None))):
+                key = next(key for key, following in pairwise(keys) if key == following)
+                raise ValueError(f"duplicate edge {divmod(key, n)}")
+            if n * n <= 1 << 63:
+                # 8 bytes a key, against a list slot and an int object: the
+                # edges are then made in the memory the ints held.  Loading
+                # the module costs 0.1 MB, so only a keyed build loads it.
+                from array import array
+
+                keys = array("q", keys)
+            endpoints = map(divmod, keys, repeat(n))
+        m = len(entries)
+        all_pairs = n * (n - 1) // 2
+        # past 2m vertices most are isolated: only the endpoints get an int
+        vertices = list(range(n)) if n <= 2 * m else _Shared()
+        if m == all_pairs:
+            # m distinct pairs out of C(n,2): every pair is an edge
+            canonical = tuple(combinations(vertices, 2))
+        else:
+            # through a list: tuple() fed straight from an iterator took 2.8x
+            # as long on 10^6 edges, most of it in the cyclic collector
+            canonical = tuple([(vertices[u], vertices[v]) for u, v in endpoints])
+        if all_pairs - m + 3 * n >= m:
+            missing_pairs = None
+        elif m == all_pairs:
+            missing_pairs = ()
+        else:
             # combinations() runs through the pairs in the order of the sorted
             # edge list, so one merge leaves exactly the pairs that are absent
             missing: list[Edge] = []
             present = iter(canonical)
             edge = next(present, None)
-            for pair in combinations(range(n), 2):
+            for pair in combinations(vertices, 2):
                 if pair == edge:
                     edge = next(present, None)
                 else:
                     missing.append(pair)
             missing_pairs = tuple(missing)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(canonical))
+        object.__setattr__(self, "edges", canonical)
         object.__setattr__(self, "missing_pairs", missing_pairs)
 
     def __setattr__(self, name, value):
@@ -89,30 +118,65 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
+def _integer(value, what: str) -> int:
+    """operator.index(value), or a ValueError that names `what` and the value."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
+def _checked_keys(n: int, entries: list) -> list[int]:
+    """The key u*n + v, u < v, of each entry, negated if the entry is (v, u),
+    raising on the first entry in order that is not a pair of distinct
+    integer endpoints in range."""
+    keys = []
+    for pair in entries:
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"edge entry {pair!r}: expected exactly two endpoints") from None
+        try:
+            u, v = index(u), index(v)
+        except TypeError:
+            for endpoint in (u, v):
+                _integer(endpoint, f"edge entry {pair!r}: endpoint")
+            raise
+        if not (-1 < u < n and -1 < v < n and u != v):
+            for endpoint in (u, v):
+                if not 0 <= endpoint < n:
+                    raise ValueError(
+                        f"edge ({u}, {v}): endpoint {endpoint} out of range for {n} vertices"
+                    )
+            raise ValueError(f"self-loop at vertex {u}")
+        keys.append(u * n + v if u < v else -v * n - u)
+    return keys
+
+
 def complete(n: int) -> Graph:
     """K_n: every pair of the n vertices joined, n >= 1."""
     if n < 1:
         raise ValueError("complete graph needs at least 1 vertex")
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return Graph(n, combinations(range(n), 2))
 
 
 def path(n: int) -> Graph:
     """P_n: vertices 0..n-1 joined in a line, n >= 1."""
     if n < 1:
         raise ValueError("path needs at least 1 vertex")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, pairwise(range(n)))
 
 
 def cycle(n: int) -> Graph:
     """C_n: vertices 0..n-1 joined in a ring, n >= 3."""
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, chain([(0, 1), (0, n - 1)], pairwise(range(1, n))))
 
 
 def star(n: int) -> Graph:
     """Star on n vertices: vertex 0 joined to every other vertex, n >= 1."""
     if n < 1:
         raise ValueError("star needs at least 1 vertex")
-    return Graph(n, [(0, i) for i in range(1, n)])
+    return Graph(n, zip(repeat(0), range(1, n)))
 

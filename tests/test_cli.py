@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ import pytest
 import boardpile
 import boardpile.bijection as bijection
 import boardpile.counting as counting
+import boardpile.diffusion as diffusion
 from boardpile.cli import main, verify_count_agreement
 from boardpile.graphs import Graph
 from test_diffusion import sparse_start
@@ -192,8 +194,23 @@ P5_EXPLICIT = {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}
 C6_EXPLICIT = {"n": 6, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5]]}
 K5_EXPLICIT = {"n": 5, "edges": [[u, v] for u in range(5) for v in range(u + 1, 5)]}
 
+
+def shuffled_sparse_document(seed, n=300, m=900):
+    """A sparse graph document whose edges are shuffled and half reversed, and
+    stacks in [-300, 300] for it."""
+    rng = random.Random(seed)
+    pairs = set()
+    while len(pairs) < m:
+        u, v = rng.sample(range(n), 2)
+        pairs.add((min(u, v), max(u, v)))
+    edges = [[v, u] if rng.random() < 0.5 else [u, v] for u, v in sorted(pairs)]
+    rng.shuffle(edges)
+    return {"n": n, "edges": edges}, [rng.randint(-300, 300) for _ in range(n)]
+
+
 # graph, stacks and steps: no vertices, no steps, a flat fixed point, negative
-# stacks, and the two periods
+# stacks, the two periods, and a sparse document whose trajectory closes after
+# 157 steps, most of them fired as corrections of the step two back
 BYTE_CASES = [
     ({"n": 0, "edges": []}, [], 3),
     (P5_EXPLICIT, [0, 2, 0, 4, 1], 0),
@@ -201,7 +218,20 @@ BYTE_CASES = [
     (C6_EXPLICIT, [-3, 12, -40, 4, 0, -1], 40),
     (K5_EXPLICIT, [3, 4, 4, 5, 5], 7),
     (P5_EXPLICIT, [0, 2, 0, 4, 1], 12),
+    (*shuffled_sparse_document(0), 160),
 ]
+
+
+def test_the_sparse_byte_case_is_fired_mostly_by_correction(monkeypatch):
+    graph, stacks, _ = BYTE_CASES[-1]
+    corrections = []
+    correct = diffusion._fire_delta
+    monkeypatch.setattr(
+        diffusion, "_fire_delta", lambda *args: corrections.append(args) or correct(*args)
+    )
+    report = boardpile.detect_period(Graph(graph["n"], graph["edges"]), stacks)
+    assert (report.preperiod, report.period) == (155, 2)
+    assert len(corrections) > (report.preperiod + report.period) / 2
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])

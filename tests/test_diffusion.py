@@ -462,6 +462,35 @@ def test_normalize_shifts_min_to_zero():
     assert normalize((4, 4, 4)) == (0, 0, 0)
 
 
+class Three:
+    """An integer-like object that is not an int."""
+
+    def __index__(self):
+        return 3
+
+
+def test_fire_takes_integer_like_stacks_and_refuses_the_rest():
+    g = Graph(2, [(0, 1)])
+    assert fire(g, [True, Three()]) == (2, 2)
+    with pytest.raises(ValueError, match=r"stack 0\.5 is not an integer"):
+        fire(g, [0.5, 1.7])
+    with pytest.raises(ValueError, match="stack '1' is not an integer"):
+        fire(g, [0, "1"])
+
+
+def test_normalize_takes_integer_like_stacks_and_refuses_the_rest():
+    assert normalize([Three(), 5, False]) == (3, 5, 0)
+    assert all(type(s) is int for s in normalize([Three(), True]))
+    with pytest.raises(ValueError, match=r"stack 2\.9 is not an integer"):
+        normalize([1, 2.9])
+
+
+def test_fire_complete_takes_integer_like_stacks_and_refuses_the_rest():
+    assert fire_complete(iter([Three(), True])) == (2, 2)
+    with pytest.raises(ValueError, match=r"stack 4\.0 is not an integer"):
+        fire_complete(x for x in [3, 4.0, "5"])
+
+
 def test_normalize_rejects_empty():
     with pytest.raises(ValueError):
         normalize(())
