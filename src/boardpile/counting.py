@@ -195,10 +195,14 @@ def _top_block_counts(n_max: int, labelled: bool) -> list[int]:
     totals = [0] * (n_max + 1)
     weighted = [1] + [0] * n_max
     for m in range(1, n_max + 1):
+        # C(m, s), carried along the row: a fresh math.comb per cell took
+        # nearly all of the labelled table's time
+        c = 1
         for s in range(1, m + 1):
             h = weighted[m - s] + s * totals[m - s]
             if labelled:
-                h *= math.comb(m, s)
+                c = c * (m - s + 1) // s
+                h *= c
             totals[m] += h
             weighted[m] += (s - 1) * h
     return totals[1:]

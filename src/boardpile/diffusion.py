@@ -12,17 +12,22 @@ the cycle's tuples after the close: run() lists it, and `boardpile simulate`
 streams it in O(n) memory for any step count.  detect_period() puts a step
 budget around the loop.
 
-One step on a graph with n vertices and m edges costs O(m) when the graph
-is sparse: every edge is visited.  Along a trajectory, though, C_t - C_{t-2}
+One step on a graph with n vertices and m edges costs O(m) by the edge loop:
+every edge is visited.  Along a trajectory, though, C_t - C_{t-2}
 goes to zero as the cycle nears, so once at most half the vertices differ
 from two steps back, _orbit() fires C_{t-1} as a correction of the step
 C_{t-3} -> C_{t-2}, in O(n + sum of deg(v) over the vertices v that differ).
-When C(n,2) - m + 3n < m the graph stores its missing pairs
-(Graph.missing_pairs) and a step costs O(n log n + C(n,2) - m): each vertex
-moves as it would on K_n, which depends only on how many stacks sit above
-and below its own, and then the exchanges across the missing pairs are taken
-back.  All paths give identical results.  That K_n step by rank is written
-once: fire_complete() is the same step on a multiset, sorted afterwards.
+The graph picks one of three kernels for a step from n and m alone
+(Graph.kernel), and all give identical results:
+- "rank", on K_n with 3n < m: each vertex moves by how many stacks sit above
+  and below its own, O(n log n).  That step is written once: fire_complete()
+  is the same step on a multiset, sorted afterwards.
+- "masks", on a graph dense enough that they beat the edge loop: for each
+  distinct stack x one 2n-bit mask marks the vertices at or above x once and
+  those above x twice.  ANDed with a vertex's neighbour mask (Graph.masks),
+  the mask of its stack has #richer - #poorer + deg bits set.  A step is
+  O(n log n) integer operations on 2n bits.
+- "edges" otherwise: the edge loop, and _orbit()'s corrections.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import sys
 from collections import deque, namedtuple
 from collections.abc import Generator, Iterable, Iterator, Sequence
 from itertools import compress, count, cycle, islice
-from operator import index, ne
+from operator import add, and_, index, ne, sub
 
 from .graphs import Graph, _integer
 
@@ -93,28 +98,36 @@ def _fire_rank(stacks: Config) -> Config:
 
 
 def _fire_raw(g: Graph, stacks: Config) -> Config:
-    missing = g.missing_pairs
-    if missing is None:
-        out = list(stacks)
-        for u, v in g.edges:
-            su, sv = stacks[u], stacks[v]
-            if su > sv:
-                out[u] -= 1
-                out[v] += 1
-            elif sv > su:
-                out[v] -= 1
-                out[u] += 1
-        return tuple(out)
-    # a K_n step, then undo the chip it passed across each pair g lacks
-    out = list(_fire_rank(stacks))
-    for u, v in missing:
+    kernel = g.kernel
+    if kernel == "rank":
+        return _fire_rank(stacks)
+    if kernel == "masks":
+        # level[x] has bit w set for each vertex w at or above x, and bit n + w
+        # for each one above it.  Its keys run through the distinct stacks from
+        # the largest down, each first holding the vertices at it.
+        n = len(stacks)
+        level = dict.fromkeys(sorted(set(stacks), reverse=True), 0)
+        for w, x in enumerate(stacks):
+            level[x] |= 1 << w
+        above = 0
+        for x, at in level.items():
+            at_or_above = above | at
+            level[x] = at_or_above | above << n
+            above = at_or_above
+        # masks[u] & level[s_u] counts u's neighbours at or above s_u once and
+        # those above it once more, 2 #richer + #equal, so less deg(u) it is
+        # #richer - #poorer
+        gains = map(int.bit_count, map(and_, g.masks, map(level.__getitem__, stacks)))
+        return tuple(map(sub, map(add, stacks, gains), g.degrees))
+    out = list(stacks)
+    for u, v in g.edges:
         su, sv = stacks[u], stacks[v]
         if su > sv:
-            out[u] += 1
-            out[v] -= 1
-        elif sv > su:
-            out[v] += 1
             out[u] -= 1
+            out[v] += 1
+        elif sv > su:
+            out[v] -= 1
+            out[u] += 1
     return tuple(out)
 
 
@@ -180,8 +193,10 @@ def fire(g: Graph, stacks: Sequence[int]) -> Config:
 
     Every vertex gains one chip per strictly richer neighbour and loses one
     per strictly poorer neighbour.  The total number of chips is conserved.
-    Costs O(m) on a sparse graph and O(n log n + C(n,2) - m) on a dense one
-    (C(n,2) - m + 3n < m, see Graph.missing_pairs), with identical results.
+    Costs O(m) by the edge loop, O(n log n) on K_n, and O(n log n) integer
+    operations on 2n bits on a graph dense enough that neighbour masks beat
+    the edge loop; Graph.kernel names the one g takes, and all three give
+    identical results.
     """
     return _fire_raw(g, _config_on(g, stacks))
 
@@ -226,19 +241,20 @@ def _orbit(g: Graph, start: Config) -> Generator[Config, None, tuple[Config, ...
     steps 1, 2, 4, 8, ... (Brent's cycle finder), which catches any longer
     cycle: PeriodNotOneOrTwo.
 
-    On a sparse graph C_t is fired as a correction of C_{t-2} = fire(C_{t-3})
-    once C_{t-1} differs from C_{t-3} at no more than half the vertices.  That
-    step visits the sum of deg(v) over those vertices, against all m edges
-    for a full step, and at half the vertices the two are about even.  The
-    neighbour lists it reads are built on the first such step.
+    On a graph fired by the edge loop, C_t is fired as a correction of
+    C_{t-2} = fire(C_{t-3}) once C_{t-1} differs from C_{t-3} at no more than
+    half the vertices.  That step visits the sum of deg(v) over those
+    vertices, against all m edges for a full step, and at half the vertices
+    the two are about even.  The neighbour lists it reads are built on the
+    first such step.
     """
-    sparse = g.missing_pairs is None
+    by_edges = g.kernel == "edges"
     neighbours = None
     oldest, older, previous = None, None, start
     checkpoint, checkpoint_t = start, 0
     yield start
     for t in count(1):
-        if sparse and oldest is not None and 2 * sum(map(ne, previous, oldest)) <= g.n:
+        if by_edges and oldest is not None and 2 * sum(map(ne, previous, oldest)) <= g.n:
             if neighbours is None:
                 neighbours = _neighbour_lists(g)
             current = _fire_delta(g, neighbours, oldest, older, previous)

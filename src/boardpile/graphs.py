@@ -21,23 +21,29 @@ class Graph:
     """Immutable simple graph.
 
     Vertices are the integers 0..n-1.  Edges are unordered pairs of distinct
-    vertices, stored canonically as (u, v) with u < v, and the sorted tuple
-    `edges` is the graph's only copy of them.  The build costs O(m log m):
-    it checks each entry, sorts the keys u*n + v and decodes the edge tuples
-    from them in ascending order, all sharing one int object per vertex, so
-    a step walks the edges and their endpoints in the order they sit in
-    memory.  An edge list that is already canonical and ascending is checked
-    and re-tupled with the shared vertex ints, without a sort or a decode.
+    vertices, stored canonically as (u, v) with u < v, in the sorted tuple
+    `edges`; a dense graph also holds them as neighbour masks.  The build
+    costs O(m log m): it checks each entry, sorts the keys u*n + v and
+    decodes the edge tuples from them in ascending order, all sharing one
+    int object per vertex, so a step walks the edges and their endpoints in
+    the order they sit in memory.  An edge list that is already canonical and
+    ascending is checked and re-tupled with the shared vertex ints, without a
+    sort or a decode.
 
-    `missing_pairs` picks how diffusion fires the graph.  On a dense graph,
-    where C(n,2) - m + 3n < m for m edges, it holds the C(n,2) - m pairs
-    (u, v), u < v, that are not edges, in ascending order: a step then costs
-    O(n log n + C(n,2) - m), a K_n step by stack rank corrected on those
-    pairs.  Otherwise it is None and a step visits every edge, O(m).  The
-    rule reads n and m alone, and both paths give identical results.
+    `kernel` names how diffusion fires the graph, picked from n and m alone
+    by _kernel(), and all three kernels give identical results:
+    - "rank" for K_n with 3n < m: a step costs O(n log n), since each vertex
+      moves by how many stacks sit above and below its own.
+    - "masks" where a step on them beats the edge loop and they take no
+      more memory than the edge tuples: `masks[u]` has bits w and n + w set
+      for each neighbour w of u, and `degrees[u]` is deg(u).  A step costs
+      O(n log n) integer operations on 2n bits, and the masks hold about
+      n^2/4 bytes, against about 64 bytes an edge tuple.
+    - "edges" otherwise: a step visits every edge, O(m).
+    `masks` and `degrees` are None unless the kernel is "masks".
     """
 
-    __slots__ = ("n", "edges", "missing_pairs")
+    __slots__ = ("n", "edges", "kernel", "masks", "degrees")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         n = _integer(n, "vertex count")
@@ -67,35 +73,22 @@ class Graph:
                 keys = array("q", keys)
             endpoints = map(divmod, keys, repeat(n))
         m = len(entries)
-        all_pairs = n * (n - 1) // 2
         # past 2m vertices most are isolated: only the endpoints get an int
         vertices = list(range(n)) if n <= 2 * m else _Shared()
-        if m == all_pairs:
+        if m == n * (n - 1) // 2:
             # m distinct pairs out of C(n,2): every pair is an edge
             canonical = tuple(combinations(vertices, 2))
         else:
             # through a list: tuple() fed straight from an iterator took 2.8x
             # as long on 10^6 edges, most of it in the cyclic collector
             canonical = tuple([(vertices[u], vertices[v]) for u, v in endpoints])
-        if all_pairs - m + 3 * n >= m:
-            missing_pairs = None
-        elif m == all_pairs:
-            missing_pairs = ()
-        else:
-            # combinations() runs through the pairs in the order of the sorted
-            # edge list, so one merge leaves exactly the pairs that are absent
-            missing: list[Edge] = []
-            present = iter(canonical)
-            edge = next(present, None)
-            for pair in combinations(vertices, 2):
-                if pair == edge:
-                    edge = next(present, None)
-                else:
-                    missing.append(pair)
-            missing_pairs = tuple(missing)
+        kernel = _kernel(n, m)
+        masks, degrees = _neighbour_masks(n, canonical) if kernel == "masks" else (None, None)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", canonical)
-        object.__setattr__(self, "missing_pairs", missing_pairs)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "degrees", degrees)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -116,6 +109,28 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={len(self.edges)})"
+
+
+def _kernel(n: int, m: int) -> str:
+    """Graph.kernel for a graph with n vertices and m edges."""
+    if m == n * (n - 1) // 2 and 3 * n < m:
+        return "rank"
+    # Measured on Python 3.11 (README), a mask step costs about as much as the
+    # edge loop over n (4.5 + n/500) edges; past n (6 + n/400) masks win at
+    # every size measured.  They hold about n^2/4 bytes against 64 an edge
+    # tuple, and past n = 4,300 that bound is the tighter one.
+    if 400 * m > n * (2400 + n) and n * n <= 256 * m:
+        return "masks"
+    return "edges"
+
+
+def _neighbour_masks(n: int, edges: Sequence[Edge]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Graph.masks and Graph.degrees of a graph on n vertices with these edges."""
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return tuple([row | row << n for row in rows]), tuple(map(int.bit_count, rows))
 
 
 def _integer(value, what: str) -> int:

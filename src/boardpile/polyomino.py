@@ -15,12 +15,28 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
+from operator import index
 
 Strip = tuple[int, int]
 
 
 class InvalidPolyomino(ValueError):
     """Strip list does not describe a board-pile polyomino."""
+
+
+def _integer_strips(strips: Iterable[Strip]) -> tuple[Strip, ...]:
+    # held, so that a one-shot iterable can still name its bad value
+    strips = tuple(strips)
+    try:
+        return tuple((index(d), index(length)) for d, length in strips)
+    except TypeError:
+        for i, (d, length) in enumerate(strips):
+            for what, value in (("offset", d), ("length", length)):
+                try:
+                    index(value)
+                except TypeError:
+                    raise InvalidPolyomino(f"strips[{i}]: {what} {value!r} is not an integer") from None
+        raise
 
 
 def _check_strips(strips: tuple[Strip, ...]) -> None:
@@ -50,7 +66,7 @@ class BoardPilePolyomino(namedtuple("BoardPilePolyomino", ("strips",))):
     __slots__ = ()
 
     def __new__(cls, strips: Iterable[Strip]):
-        strips = tuple((int(d), int(length)) for d, length in strips)
+        strips = _integer_strips(strips)
         _check_strips(strips)
         return tuple.__new__(cls, (strips,))
 
@@ -68,7 +84,7 @@ class BoardPilePolyomino(namedtuple("BoardPilePolyomino", ("strips",))):
 
 
 def _trusted(strips: tuple[Strip, ...]) -> BoardPilePolyomino:
-    # strips known valid and made of ints: bypass __new__'s coercion and check
+    # strips known valid and made of ints: bypass __new__'s integer and validity checks
     return tuple.__new__(BoardPilePolyomino, (strips,))
 
 

@@ -5,13 +5,13 @@ import pytest
 
 import boardpile.diffusion as diffusion
 
-# The raw firing steps: _fire_raw is behind fire() and every trajectory,
-# _fire_delta fires a sparse trajectory's later steps as a correction of the
-# step two back, and _fire_rank, the K_n step by rank, is behind
-# fire_complete() and the dense branch of _fire_raw.  The audit wraps all three
-# in place, so every firing step the suite takes goes through it, and a dense
-# step is checked at both levels.  A trajectory step is exactly one call of
-# _fire_raw or _fire_delta.
+# The raw firing steps: _fire_raw is behind fire() and every trajectory, and
+# holds the edge loop and the mask step; _fire_delta fires a sparse
+# trajectory's later steps as a correction of the step two back; and
+# _fire_rank, the K_n step by rank, is behind fire_complete() and the K_n
+# branch of _fire_raw.  The audit wraps all three in place, so every firing
+# step the suite takes goes through it, and a K_n step is checked at both
+# levels.  A trajectory step is exactly one call of _fire_raw or _fire_delta.
 _AUDITED_STEPS = ("_fire_raw", "_fire_delta", "_fire_rank")
 
 

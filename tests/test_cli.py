@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ import boardpile.counting as counting
 import boardpile.diffusion as diffusion
 from boardpile.cli import main, verify_count_agreement
 from boardpile.graphs import Graph
-from test_diffusion import sparse_start
+from test_diffusion import reference_fire, sparse_start
 
 P5_GRAPH = {"family": "path", "n": 5}
 P5_CONFIG = {"stacks": [0, 2, 0, 4, 1]}
@@ -182,17 +183,44 @@ def test_period_budget_exhausted(tmp_path, capsys):
     )
 
 
-def reference_trajectory(graph, stacks, steps):
+def reference_configs(graph, stacks):
+    """C_0, C_1, ... without end, each fired by visiting every edge."""
     g = Graph(graph["n"], graph["edges"])
-    trajectory = [tuple(stacks)]
-    for _ in range(steps):
-        trajectory.append(boardpile.fire(g, trajectory[-1]))
-    return trajectory
+    c = tuple(stacks)
+    while True:
+        yield c
+        c = reference_fire(g, c)
+
+
+def reference_trajectory(graph, stacks, steps):
+    return list(islice(reference_configs(graph, stacks), steps + 1))
+
+
+def reference_period(graph, stacks):
+    """Preperiod, period and cycle members: C_t is the first configuration
+    equal to C_{t-1} or C_{t-2}."""
+    seen = []
+    for c in reference_configs(graph, stacks):
+        if seen[-1:] == [c]:
+            return len(seen) - 1, 1, seen[-1:]
+        if seen[-2:-1] == [c]:
+            return len(seen) - 2, 2, seen[-2:]
+        seen.append(c)
 
 
 P5_EXPLICIT = {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}
 C6_EXPLICIT = {"n": 6, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5]]}
 K5_EXPLICIT = {"n": 5, "edges": [[u, v] for u in range(5) for v in range(u + 1, 5)]}
+
+
+def shuffled_dense_document(seed, n=120, p=0.9):
+    """A G(n, p) document whose edges are shuffled and half reversed, and
+    stacks in [-5, 5] for it, the shape of the dense benchmark orbits."""
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    edges = [[v, u] if rng.random() < 0.5 else [u, v] for u, v in pairs]
+    rng.shuffle(edges)
+    return {"n": n, "edges": edges}, [rng.randint(-5, 5) for _ in range(n)]
 
 
 def shuffled_sparse_document(seed, n=300, m=900):
@@ -208,9 +236,15 @@ def shuffled_sparse_document(seed, n=300, m=900):
     return {"n": n, "edges": edges}, [rng.randint(-300, 300) for _ in range(n)]
 
 
+# a sparse document whose trajectory closes after 157 steps, most of them
+# fired as corrections of the step two back
+SPARSE_CASE = (*shuffled_sparse_document(0), 160)
+# a dense document fired by neighbour masks, whose trajectory closes after 287
+# steps
+DENSE_CASE = (*shuffled_dense_document(0), 300)
+
 # graph, stacks and steps: no vertices, no steps, a flat fixed point, negative
-# stacks, the two periods, and a sparse document whose trajectory closes after
-# 157 steps, most of them fired as corrections of the step two back
+# stacks, the two periods, a sparse and a dense document
 BYTE_CASES = [
     ({"n": 0, "edges": []}, [], 3),
     (P5_EXPLICIT, [0, 2, 0, 4, 1], 0),
@@ -218,12 +252,18 @@ BYTE_CASES = [
     (C6_EXPLICIT, [-3, 12, -40, 4, 0, -1], 40),
     (K5_EXPLICIT, [3, 4, 4, 5, 5], 7),
     (P5_EXPLICIT, [0, 2, 0, 4, 1], 12),
-    (*shuffled_sparse_document(0), 160),
+    SPARSE_CASE,
+    DENSE_CASE,
 ]
 
 
+def test_the_byte_cases_take_the_edge_loop_and_the_masks():
+    kernels = [Graph(graph["n"], graph["edges"]).kernel for graph, _, _ in (SPARSE_CASE, DENSE_CASE)]
+    assert kernels == ["edges", "masks"]
+
+
 def test_the_sparse_byte_case_is_fired_mostly_by_correction(monkeypatch):
-    graph, stacks, _ = BYTE_CASES[-1]
+    graph, stacks, _ = SPARSE_CASE
     corrections = []
     correct = diffusion._fire_delta
     monkeypatch.setattr(
@@ -260,11 +300,11 @@ def test_simulate_bytes_equal_json_dumps(tmp_path, capsys, graph, stacks, steps,
 def test_period_bytes_equal_json_dumps(tmp_path, capsys, graph, stacks, steps, to_file):
     g = write_doc(tmp_path, "g.json", graph)
     c = write_doc(tmp_path, "c.json", {"stacks": stacks})
-    report = boardpile.detect_period(Graph(graph["n"], graph["edges"]), stacks)
+    preperiod, period, members = reference_period(graph, stacks)
     doc = {
-        "preperiod": report.preperiod,
-        "period": report.period,
-        "configs": [{"stacks": list(row)} for row in report.period_configs],
+        "preperiod": preperiod,
+        "period": period,
+        "configs": [{"stacks": list(row)} for row in members],
     }
     expected = json.dumps(doc, indent=2) + "\n"
     target = tmp_path / "period.json"
@@ -304,7 +344,7 @@ def test_simulate_streams_in_one_slot_per_step(tmp_path, monkeypatch, fmt):
 
 @pytest.mark.parametrize("g, stacks", [(boardpile.path(5), P5_CONFIG["stacks"]), sparse_start(0)])
 def test_simulate_fires_only_up_to_the_close(tmp_path, monkeypatch, fire_audit, g, stacks):
-    assert g.missing_pairs is None  # one audited call per step on the edge loop
+    assert g.kernel == "edges"  # one audited call per step
     report = boardpile.detect_period(g, stacks)
     gpath = write_doc(tmp_path, "g.json", {"n": g.n, "edges": [list(e) for e in g.edges]})
     cpath = write_doc(tmp_path, "c.json", {"stacks": list(stacks)})

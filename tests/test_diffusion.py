@@ -20,7 +20,7 @@ from boardpile.diffusion import (
     orientation_of,
     run,
 )
-from boardpile.graphs import Graph, complete, path, star
+from boardpile.graphs import Graph, _neighbour_masks, complete, path, star
 
 # Path on five vertices with a preperiod of 3 and a period of 2; the full
 # trajectory is pinned down step by step.
@@ -103,19 +103,21 @@ def any_density_graph_and_stacks(draw):
 @given(any_density_graph_and_stacks())
 @example((Graph(0), ()))
 @example((Graph(1), (-(10**40),)))
+@example((complete(6), (3, -1, 3, 0, 10**30, -2)))
 def test_fire_matches_edge_loop_at_every_density(gs):
     g, stacks = gs
     expected = reference_fire(g, stacks)
     assert fire(g, stacks) == expected
-    # the rule only picks the faster path: forced onto the rank path, a graph
-    # of any density still fires the same (a Graph refuses assignment, so the
-    # pairs are set past its guard)
-    forced = Graph(g.n, g.edges)
-    present = set(g.edges)
-    object.__setattr__(
-        forced, "missing_pairs", tuple(e for e in combinations(range(g.n), 2) if e not in present)
-    )
-    assert fire(forced, stacks) == expected
+    # the rule only picks the fastest kernel: forced onto any kernel that
+    # applies to it, a graph of any density still fires the same (a Graph
+    # refuses assignment, so its fields are set past the guard)
+    masks, degrees = _neighbour_masks(g.n, g.edges)
+    kernels = ["edges", "masks"] + ["rank"] * (len(g.edges) == g.n * (g.n - 1) // 2)
+    for kernel in kernels:
+        forced = Graph(g.n, g.edges)
+        for field, value in (("kernel", kernel), ("masks", masks), ("degrees", degrees)):
+            object.__setattr__(forced, field, value)
+        assert fire(forced, stacks) == expected
 
 
 def dense_start():
@@ -127,9 +129,9 @@ def dense_start():
     return g, tuple(rng.randint(-5, 5) for _ in range(n))
 
 
-def test_fire_dense_graph_takes_rank_path_and_matches_edge_loop():
+def test_fire_dense_graph_takes_masks_and_matches_edge_loop():
     g, stacks = dense_start()
-    assert g.missing_pairs is not None
+    assert g.kernel == "masks"
     for _ in range(20):
         fired = fire(g, stacks)
         assert fired == reference_fire(g, stacks)
@@ -275,7 +277,7 @@ def sparse_start(seed, n=300, m=1500):
     [(P5, P5_START, 100_000), (path(2), (0, 2), 100_000), (*sparse_start(0), 1_000)],
 )
 def test_run_stops_firing_once_the_cycle_closes(fire_audit, g, stacks, steps):
-    assert g.missing_pairs is None  # one audited call per step on the edge loop
+    assert g.kernel == "edges"  # one audited call per step
     report = detect_period(g, stacks)
     closes = report.preperiod + report.period
     assert closes < steps
@@ -322,13 +324,13 @@ def test_sparse_trajectory_fires_by_correction(monkeypatch):
     assert 0 < len(corrected) <= closes - 2
 
 
-def test_dense_trajectory_fires_by_rank(monkeypatch):
+def test_dense_trajectory_fires_by_masks(monkeypatch):
     def refuse(*args):
         raise AssertionError("a dense graph fired by correction")
 
     monkeypatch.setattr(diffusion, "_fire_delta", refuse)
     g, stacks = dense_start()
-    assert g.missing_pairs is not None
+    assert g.kernel == "masks"
     assert detect_period(g, stacks).preperiod == 256
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boardpile.graphs import Graph, complete, cycle, path, star
+from test_diffusion import dense_start
 
 
 def test_complete_edge_counts():
@@ -90,18 +91,25 @@ def test_graph_rejects_entries_that_are_not_pairs():
         Graph(3, [None])
 
 
-def test_dense_graphs_store_their_missing_pairs():
-    # C(n,2) - m + 3n < m picks the rank path; K_5 and below keep the edge loop
-    assert complete(10).missing_pairs == ()
-    assert complete(5).missing_pairs is None
-    assert path(100).missing_pairs is None
-    assert Graph(0).missing_pairs is None
+def test_graphs_pick_their_kernel_from_n_and_m():
+    # K_n with 3n < m fires by rank; masks only where a step on them beats the
+    # edge loop and they hold no more memory than the edge tuples
+    assert complete(10).kernel == "rank"
+    assert complete(5).kernel == "edges"
+    assert path(100).kernel == "edges"
+    assert Graph(0).kernel == "edges"
+    assert dense_start()[0].kernel == "masks"
+    n = 10**4
+    sparse = Graph(n, [(u, (u + k) % n) for u in range(n) for k in range(1, 6)])
+    assert (len(sparse.edges), sparse.kernel, sparse.masks) == (5 * 10**4, "edges", None)
+    # a dense graph's masks hold each neighbour w of u at bits w and n + w
     rng = random.Random(4)
-    pairs = list(combinations(range(40), 2))
-    g = Graph(40, [e for e in pairs if rng.random() < 0.9])
-    present = set(g.edges)
-    assert g.missing_pairs == tuple(e for e in pairs if e not in present)
-    assert 0 < len(g.missing_pairs) < 120
+    g = Graph(40, [e for e in combinations(range(40), 2) if rng.random() < 0.9])
+    assert g.kernel == "masks"
+    for u in range(40):
+        neighbours = [w for edge in g.edges if u in edge for w in edge if w != u]
+        low = sum(1 << w for w in neighbours)
+        assert (g.masks[u], g.degrees[u]) == (low | low << 40, len(neighbours))
 
 
 def test_graphs_hashable_and_equal_by_structure():

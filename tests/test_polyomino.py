@@ -122,6 +122,23 @@ def test_validate_first_offset_must_be_zero():
         BoardPilePolyomino([(1, 2)])
 
 
+def test_validate_refuses_what_is_not_an_integer():
+    with pytest.raises(InvalidPolyomino, match=r"strips\[1\]: offset 2\.9 is not an integer"):
+        BoardPilePolyomino([(0, 2), (2.9, 1)])
+    with pytest.raises(InvalidPolyomino, match=r"strips\[0\]: length '1' is not an integer"):
+        BoardPilePolyomino([(0, "1")])
+
+
+def test_validate_accepts_bools_and_index_objects():
+    class Two:
+        def __index__(self):
+            return 2
+
+    x = BoardPilePolyomino([(False, Two()), (True, True)])
+    assert x.strips == ((0, 2), (1, 1))
+    assert all(type(value) is int for strip in x.strips for value in strip)
+
+
 def test_validate_nonpositive_length_rejected():
     with pytest.raises(InvalidPolyomino, match=r"strips\[0\]: length 0 must be positive"):
         BoardPilePolyomino([(0, 0)])
