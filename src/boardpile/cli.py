@@ -46,8 +46,19 @@ _ENUMERATE_CAP = 15
 _RENDER_CAP = 10**7
 _MAP_CAP = 10**6
 
-# graph families by their constructor's name in graphs
-_FAMILIES = ("complete", "cycle", "path", "star")
+# graph families by their constructor's name in graphs, each with its edge
+# count on n >= 1 vertices
+_FAMILIES = {
+    "complete": lambda n: n * (n - 1) // 2,
+    "cycle": lambda n: n,
+    "path": lambda n: n - 1,
+    "star": lambda n: n - 1,
+}
+
+# a family document is about 30 bytes whatever n it names, and its build
+# holds about 120 bytes an edge: at the cap a path, cycle or star takes
+# 0.3-0.4 s and 245 MB, and K_2000 (1,999,000 edges) 0.2-0.3 s and 167 MB
+_FAMILY_CAP = 2 * 10**6
 
 # the int->str digit limit main() was entered with, which documents are parsed
 # under: main() lifts it for the rest, since counts and stacks outgrow it
@@ -137,6 +148,12 @@ def _load_graph(path: str) -> graphs.Graph:
         raise InputError(
             f"{name}: field 'family': unknown value {family!r} "
             f"(expected one of {', '.join(_FAMILIES)})"
+        )
+    edges = _FAMILIES[family](n) if n > 0 else 0
+    if edges > _FAMILY_CAP:
+        raise InputError(
+            f"{name}: field 'n': {family} on {n} vertices has {edges} edges, "
+            f"capped at {_FAMILY_CAP}"
         )
     return _construct(name, getattr(graphs, family), n)
 

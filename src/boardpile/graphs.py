@@ -2,19 +2,11 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from itertools import chain, combinations, islice, pairwise, repeat
-from operator import eq, index, lt
+from operator import eq, index
 
 Edge = tuple[int, int]
-
-
-class _Shared(dict):
-    """One int object per vertex, made the first time the vertex is asked for."""
-
-    def __missing__(self, vertex: int) -> int:
-        self[vertex] = shared = index(vertex)
-        return shared
 
 
 class Graph:
@@ -22,13 +14,13 @@ class Graph:
 
     Vertices are the integers 0..n-1.  Edges are unordered pairs of distinct
     vertices, stored canonically as (u, v) with u < v, in the sorted tuple
-    `edges`; a dense graph also holds them as neighbour masks.  The build
-    costs O(m log m): it checks each entry, sorts the keys u*n + v and
-    decodes the edge tuples from them in ascending order, all sharing one
-    int object per vertex, so a step walks the edges and their endpoints in
-    the order they sit in memory.  An edge list that is already canonical and
-    ascending is checked and re-tupled with the shared vertex ints, without a
-    sort or a decode.
+    `edges`; a dense graph also holds them as neighbour masks.  Built from an
+    edge list, the graph costs O(m log m): each entry is checked, the keys
+    u*n + v are sorted and the edge tuples are decoded from them in ascending
+    order, all sharing one int object per vertex, so a step walks the edges
+    and their endpoints in the order they sit in memory.  The family
+    constructors build the same layout in O(m), with no check, sort or
+    decode: they make the edges in ascending order from one int per vertex.
 
     `kernel` names how diffusion fires the graph, picked from n and m alone
     by _kernel(), and all three kernels give identical results:
@@ -49,43 +41,32 @@ class Graph:
         n = _integer(n, "vertex count")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        entries = edges if type(edges) is list else list(edges)
-        keys = _checked_keys(n, entries)
-        # canonical and ascending already, as every family constructor gives:
-        # the entries are read again, with no sort or decode.  A one-shot
-        # entry was spent by the check, so only lists and tuples qualify.
-        if all(map(lt, chain((0,), keys), keys)) and set(map(type, entries)) <= {list, tuple}:
-            # let go before the edges are made
-            keys = None
-            endpoints = entries
-        else:
-            keys = sorted(map(abs, keys))
-            # once sorted, copies of an edge sit side by side
-            if any(map(eq, keys, islice(keys, 1, None))):
-                key = next(key for key, following in pairwise(keys) if key == following)
-                raise ValueError(f"duplicate edge {divmod(key, n)}")
-            if n * n <= 1 << 63:
-                # 8 bytes a key, against a list slot and an int object: the
-                # edges are then made in the memory the ints held.  Loading
-                # the module costs 0.1 MB, so only a keyed build loads it.
-                from array import array
+        keys = _checked_keys(n, edges)
+        keys.sort()
+        # once sorted, copies of an edge sit side by side
+        if any(map(eq, keys, islice(keys, 1, None))):
+            key = next(key for key, following in pairwise(keys) if key == following)
+            raise ValueError(f"duplicate edge {divmod(key, n)}")
+        if n * n <= 1 << 63:
+            # 8 bytes a key, against a list slot and an int object: the
+            # edges are then made in the memory the ints held.  Loading
+            # the module costs 0.1 MB, so only a checked build loads it.
+            from array import array
 
-                keys = array("q", keys)
-            endpoints = map(divmod, keys, repeat(n))
-        m = len(entries)
-        # past 2m vertices most are isolated: only the endpoints get an int
-        vertices = list(range(n)) if n <= 2 * m else _Shared()
-        if m == n * (n - 1) // 2:
-            # m distinct pairs out of C(n,2): every pair is an edge
-            canonical = tuple(combinations(vertices, 2))
-        else:
-            # through a list: tuple() fed straight from an iterator took 2.8x
-            # as long on 10^6 edges, most of it in the cyclic collector
-            canonical = tuple([(vertices[u], vertices[v]) for u, v in endpoints])
-        kernel = _kernel(n, m)
-        masks, degrees = _neighbour_masks(n, canonical) if kernel == "masks" else (None, None)
+            keys = array("q", keys)
+        # past 2m vertices most are isolated: a list of them all would
+        # outweigh the edges
+        vertices = list(range(n)) if n <= 2 * len(keys) else range(n)
+        # through a list: tuple() fed straight from an iterator took 2.8x
+        # as long on 10^6 edges, most of it in the cyclic collector
+        self._fill(n, tuple([(vertices[u], vertices[v]) for u, v in map(divmod, keys, repeat(n))]))
+
+    def _fill(self, n: int, edges: tuple[Edge, ...]) -> None:
+        """Set every field from n and the canonical, ascending edges."""
+        kernel = _kernel(n, len(edges))
+        masks, degrees = _neighbour_masks(n, edges) if kernel == "masks" else (None, None)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", canonical)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "degrees", degrees)
@@ -141,10 +122,9 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
-def _checked_keys(n: int, entries: list) -> list[int]:
-    """The key u*n + v, u < v, of each entry, negated if the entry is (v, u),
-    raising on the first entry in order that is not a pair of distinct
-    integer endpoints in range."""
+def _checked_keys(n: int, entries: Iterable) -> list[int]:
+    """The key u*n + v, u < v, of each entry, raising on the first entry in
+    order that is not a pair of distinct integer endpoints in range."""
     keys = []
     for pair in entries:
         try:
@@ -164,34 +144,44 @@ def _checked_keys(n: int, entries: list) -> list[int]:
                         f"edge ({u}, {v}): endpoint {endpoint} out of range for {n} vertices"
                     )
             raise ValueError(f"self-loop at vertex {u}")
-        keys.append(u * n + v if u < v else -v * n - u)
+        keys.append(u * n + v if u < v else v * n + u)
     return keys
+
+
+def _family(n: int, least: int, too_few: str, pairs: Callable[[list], Iterable[Edge]]) -> Graph:
+    """The graph on n >= least vertices whose edges pairs(vertices) gives,
+    canonical and ascending, from vertices = [0, ..., n-1]: built with no
+    check, sort or decode."""
+    n = _integer(n, "vertex count")
+    if n < least:
+        raise ValueError(too_few)
+    vertices = list(range(n))
+    graph = Graph.__new__(Graph)
+    # through a list, for the reason Graph.__init__ gives
+    graph._fill(n, tuple(list(pairs(vertices))))
+    return graph
 
 
 def complete(n: int) -> Graph:
     """K_n: every pair of the n vertices joined, n >= 1."""
-    if n < 1:
-        raise ValueError("complete graph needs at least 1 vertex")
-    return Graph(n, combinations(range(n), 2))
+    return _family(n, 1, "complete graph needs at least 1 vertex", lambda vs: combinations(vs, 2))
 
 
 def path(n: int) -> Graph:
     """P_n: vertices 0..n-1 joined in a line, n >= 1."""
-    if n < 1:
-        raise ValueError("path needs at least 1 vertex")
-    return Graph(n, pairwise(range(n)))
+    return _family(n, 1, "path needs at least 1 vertex", pairwise)
 
 
 def cycle(n: int) -> Graph:
     """C_n: vertices 0..n-1 joined in a ring, n >= 3."""
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return Graph(n, chain([(0, 1), (0, n - 1)], pairwise(range(1, n))))
+    return _family(
+        n,
+        3,
+        "cycle needs at least 3 vertices",
+        lambda vs: chain([(vs[0], vs[1]), (vs[0], vs[-1])], pairwise(vs[1:])),
+    )
 
 
 def star(n: int) -> Graph:
     """Star on n vertices: vertex 0 joined to every other vertex, n >= 1."""
-    if n < 1:
-        raise ValueError("star needs at least 1 vertex")
-    return Graph(n, zip(repeat(0), range(1, n)))
-
+    return _family(n, 1, "star needs at least 1 vertex", lambda vs: zip(repeat(vs[0]), vs[1:]))

@@ -116,6 +116,14 @@ def test_simulate_unknown_family(tmp_path, capsys):
     assert "family" in err
 
 
+def listed(n, pairs, seed):
+    """A graph document of these pairs, shuffled and half reversed."""
+    rng = random.Random(seed)
+    edges = [[v, u] if rng.random() < 0.5 else [u, v] for u, v in pairs]
+    rng.shuffle(edges)
+    return {"n": n, "edges": edges}
+
+
 @pytest.mark.parametrize(
     "family, explicit, stacks",
     [
@@ -125,6 +133,22 @@ def test_simulate_unknown_family(tmp_path, capsys):
             [3, 4, 4, 5, 5],
         ),
         ({"family": "path", "n": 4}, {"n": 4, "edges": [[1, 0], [2, 3], [2, 1]]}, [0, 3, 0, 1]),
+        # K_40 fires by rank, the others by the edge loop
+        (
+            {"family": "complete", "n": 40},
+            listed(40, [(u, v) for u in range(40) for v in range(u + 1, 40)], 40),
+            [random.Random(41).randint(0, 10**6) for _ in range(40)],
+        ),
+        (
+            {"family": "cycle", "n": 9},
+            listed(9, [(i, (i + 1) % 9) for i in range(9)], 9),
+            [5, -3, 0, 8, 8, 1, -2, 4, 0],
+        ),
+        (
+            {"family": "star", "n": 7},
+            listed(7, [(0, i) for i in range(1, 7)], 7),
+            [0, 9, -4, 3, 3, 12, 1],
+        ),
     ],
 )
 def test_family_form_equals_explicit_form(tmp_path, capsys, family, explicit, stacks):
@@ -682,6 +706,31 @@ def test_documents_require_exact_integers(tmp_path, capsys, command, docs, field
             "map",
             [{"strips": [[0, 10**30]]}],
             f"input document: field 'strips': {10**30} cells, capped at 1000000",
+        ),
+        # the first refused size of each family, and one no build could hold
+        (
+            "period",
+            [{"family": "complete", "n": 2001}, P5_CONFIG],
+            "graph document: field 'n': complete on 2001 vertices has 2001000 edges, "
+            "capped at 2000000",
+        ),
+        (
+            "period",
+            [{"family": "cycle", "n": 2000001}, P5_CONFIG],
+            "graph document: field 'n': cycle on 2000001 vertices has 2000001 edges, "
+            "capped at 2000000",
+        ),
+        (
+            "period",
+            [{"family": "path", "n": 2000002}, P5_CONFIG],
+            "graph document: field 'n': path on 2000002 vertices has 2000001 edges, "
+            "capped at 2000000",
+        ),
+        (
+            "simulate",
+            [{"family": "star", "n": 10**12}, P5_CONFIG],
+            f"graph document: field 'n': star on {10**12} vertices has {10**12 - 1} edges, "
+            "capped at 2000000",
         ),
     ],
 )

@@ -1,12 +1,15 @@
 import json
 import pickle
 import random
+import re
+import tracemalloc
 from itertools import combinations, pairwise
 from operator import index
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import boardpile.graphs as graphs
 from boardpile.graphs import Graph, complete, cycle, path, star
 from test_diffusion import dense_start
 
@@ -118,14 +121,66 @@ def test_graphs_hashable_and_equal_by_structure():
     assert complete(3) != complete(4)
 
 
+# each family, its least vertex count and its edges listed another way
+FAMILIES = [
+    (complete, 1, lambda n: [(u, v) for u in range(n) for v in range(u + 1, n)]),
+    (path, 1, lambda n: [(i, i + 1) for i in range(n - 1)]),
+    (cycle, 3, lambda n: [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]),
+    (star, 1, lambda n: [(0, i) for i in range(1, n)]),
+]
+
+
+def fields(g):
+    return (g.n, g.edges, hash(g), g.kernel, g.masks, g.degrees)
+
+
 def test_family_graphs_equal_their_edge_lists():
-    for n in range(1, 9):
-        assert complete(n) == Graph(n, combinations(range(n), 2))
-        assert complete(n) == Graph(n, [(v, u) for u, v in combinations(range(n), 2)][::-1])
-        assert path(n) == Graph(n, [(i + 1, i) for i in range(n - 1)])
-        assert star(n) == Graph(n, [(i, 0) for i in range(1, n)])
-    for n in range(3, 9):
-        assert cycle(n) == Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    # built from their shape, they equal the checked build of a document's
+    # listing: shuffled, half reversed
+    rng = random.Random(23)
+    for family, least, pairs in FAMILIES:
+        for n in range(least, 41):
+            rows = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs(n)]
+            rng.shuffle(rows)
+            g = family(n)
+            assert fields(g) == fields(Graph(n, rows))
+            assert fields(pickle.loads(pickle.dumps(g))) == fields(g)
+            assert len({id(x) for edge in g.edges for x in edge}) <= n
+
+
+def test_a_family_build_checks_no_entry(monkeypatch):
+    def refuse(n, entries):
+        raise AssertionError("entries checked")
+
+    monkeypatch.setattr(graphs, "_checked_keys", refuse)
+    with pytest.raises(AssertionError, match="entries checked"):
+        Graph(2, [(0, 1)])
+    for family, least, pairs in FAMILIES:
+        assert family(12).edges == tuple(sorted(pairs(12)))
+
+
+def test_a_family_build_holds_little_beyond_its_graph():
+    for family, n in ((complete, 300), (path, 10**5)):
+        tracemalloc.start()
+        try:
+            g = family(n)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.n == n
+        assert peak <= 1.3 * retained
+
+
+def test_families_take_integer_like_counts_and_refuse_the_rest():
+    for family, least, pairs in FAMILIES:
+        for count in (3.0, 2.5, "3", None):
+            with pytest.raises(ValueError, match=re.escape(f"vertex count {count!r} is not")):
+                family(count)
+        if least <= 2:
+            assert family(Two()).edges == tuple(pairs(2))
+    with pytest.raises(ValueError, match="cycle needs at least 3 vertices"):
+        cycle(Two())
+    assert complete(True) == path(True) == star(True) == Graph(1)
 
 
 # --- the build against the loop it replaced ----------------------------------
