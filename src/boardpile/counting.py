@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections.abc import Callable, Iterable, Iterator
 
 _SEEDS = (1, 2, 6, 19)
 
@@ -213,28 +214,57 @@ def _top_block_counts(n_max: int, labelled: bool) -> list[int]:
 # A normalized periodic multiset has minimum 0 and maximum < 2n (the gaps
 # between adjacent distinct values are bounded by the block sizes), so a
 # scan over values in [0, 2n] is exhaustive.  "Periodic" is decided purely
-# dynamically: firing twice must reproduce the input exactly.  Only these two
-# oracles fire, so they alone import the engine, and the exact counts load
-# this module alone.
+# dynamically: firing twice must reproduce the input exactly.  The first
+# firing maps many candidates to few images (38,760 multisets at n = 7 to
+# 4,606), so _fired_twice_back() keeps a bounded memo from each first image
+# to its own image and fires a repeated image only once while it stays in
+# the memo.  Only these two oracles fire, so they alone import the engine,
+# and the exact counts load this module alone.
 
 UNLABELLED_CAP = 8
 LABELLED_CAP = 5
 
+# Past this many first images the memo is emptied.  Over verify's default
+# scans (multisets n <= 7, labelled n <= 5) it cuts the 219,602 firings of a
+# memo-free scan to 158,736 at 512 entries and 149,918 at 1,024.  Unbounded
+# it fires 126,802 times but holds 9,950 images of K_5 and raised verify's
+# peak RSS from 16.6 to 19.1 MB.  The rise was 0.13 MB at 512 entries and
+# 0.25 MB at 1,024, for 2% less scan time (Python 3.11).
+_SECOND_FIRINGS = 512
+
+
+def _fired_twice_back(
+    first: Callable[[tuple[int, ...]], tuple[int, ...]], candidates: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[int, ...]]:
+    """Each candidate c with first(first(c)) == c, in order.
+
+    Every candidate is fired once; its image is fired again only if the
+    image is not in the memo, which is emptied once it holds _SECOND_FIRINGS.
+    """
+    second: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for c in candidates:
+        once = first(c)
+        twice = second.get(once)
+        if twice is None:
+            if len(second) >= _SECOND_FIRINGS:
+                second.clear()
+            twice = second[once] = first(once)
+        if twice == c:
+            yield c
+
 
 def brute_force_period_multisets(n: int) -> list[tuple[int, ...]]:
     """All sorted periodic multisets on n vertices with minimum 0."""
-    from .diffusion import fire_complete
+    from .diffusion import _fire_rank
 
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > UNLABELLED_CAP:
         raise ValueError(f"n={n} exceeds the brute-force cap {UNLABELLED_CAP}")
-    found = []
-    for tail in itertools.combinations_with_replacement(range(2 * n + 1), n - 1):
-        ms = (0,) + tail
-        if fire_complete(fire_complete(ms)) == ms:
-            found.append(ms)
-    return found
+    tails = itertools.combinations_with_replacement(range(2 * n + 1), n - 1)
+    return list(
+        _fired_twice_back(lambda ms: tuple(sorted(_fire_rank(ms))), ((0,) + tail for tail in tails))
+    )
 
 
 def brute_force_labelled(n: int) -> int:
@@ -243,7 +273,7 @@ def brute_force_labelled(n: int) -> int:
     Scans every vector in [0, 2n]^n with minimum 0 and keeps those that the
     generic engine maps back to themselves after two firings.
     """
-    from .diffusion import is_period_config
+    from .diffusion import _fire_raw
     from .graphs import complete
 
     if n < 1:
@@ -251,10 +281,6 @@ def brute_force_labelled(n: int) -> int:
     if n > LABELLED_CAP:
         raise ValueError(f"n={n} exceeds the brute-force cap {LABELLED_CAP}")
     g = complete(n)
-    count = 0
-    for vec in itertools.product(range(2 * n + 1), repeat=n):
-        if 0 not in vec:
-            continue
-        if is_period_config(g, vec):
-            count += 1
-    return count
+    vectors = itertools.product(range(2 * n + 1), repeat=n)
+    periodic = _fired_twice_back(lambda vec: _fire_raw(g, vec), (vec for vec in vectors if 0 in vec))
+    return sum(1 for _ in periodic)

@@ -14,8 +14,8 @@ budget around the loop.
 
 One step on a graph with n vertices and m edges costs O(m) by the edge loop:
 every edge is visited.  Along a trajectory, though, C_t - C_{t-2}
-goes to zero as the cycle nears, so once at most half the vertices differ
-from two steps back, _orbit() fires C_{t-1} as a correction of the step
+goes to zero as the cycle nears, so once at most a third of the vertices
+differ from two steps back, _orbit() fires C_{t-1} as a correction of the step
 C_{t-3} -> C_{t-2}, in O(n + sum of deg(v) over the vertices v that differ).
 The graph picks one of three kernels for a step from n and m alone
 (Graph.kernel), and all give identical results:
@@ -243,10 +243,11 @@ def _orbit(g: Graph, start: Config) -> Generator[Config, None, tuple[Config, ...
 
     On a graph fired by the edge loop, C_t is fired as a correction of
     C_{t-2} = fire(C_{t-3}) once C_{t-1} differs from C_{t-3} at no more than
-    half the vertices.  That step visits the sum of deg(v) over those
-    vertices, against all m edges for a full step, and at half the vertices
-    the two are about even.  The neighbour lists it reads are built on the
-    first such step.
+    a third of the vertices.  That step visits the sum of deg(v) over those
+    vertices, against all m edges for a full step.  On 10,000-vertex graphs
+    of mean degree 10 it is 1.26-1.45 times slower at 41% of the vertices,
+    about even at 29% and faster below (README).  The neighbour lists it
+    reads are built on the first such step.
     """
     by_edges = g.kernel == "edges"
     neighbours = None
@@ -254,7 +255,7 @@ def _orbit(g: Graph, start: Config) -> Generator[Config, None, tuple[Config, ...
     checkpoint, checkpoint_t = start, 0
     yield start
     for t in count(1):
-        if by_edges and oldest is not None and 2 * sum(map(ne, previous, oldest)) <= g.n:
+        if by_edges and oldest is not None and 3 * sum(map(ne, previous, oldest)) <= g.n:
             if neighbours is None:
                 neighbours = _neighbour_lists(g)
             current = _fire_delta(g, neighbours, oldest, older, previous)

@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 from itertools import islice
+from operator import ne
 from pathlib import Path
 
 import pytest
@@ -260,8 +261,8 @@ def shuffled_sparse_document(seed, n=300, m=900):
     return {"n": n, "edges": edges}, [rng.randint(-300, 300) for _ in range(n)]
 
 
-# a sparse document whose trajectory closes after 157 steps, most of them
-# fired as corrections of the step two back
+# a sparse document whose trajectory closes after 157 steps, 73 of them fired
+# as corrections of the step two back
 SPARSE_CASE = (*shuffled_sparse_document(0), 160)
 # a dense document fired by neighbour masks, whose trajectory closes after 287
 # steps
@@ -286,7 +287,9 @@ def test_the_byte_cases_take_the_edge_loop_and_the_masks():
     assert kernels == ["edges", "masks"]
 
 
-def test_the_sparse_byte_case_is_fired_mostly_by_correction(monkeypatch):
+def test_the_sparse_byte_case_is_fired_by_correction_past_the_crossover(monkeypatch):
+    # C_t is a correction exactly when C_{t-1} differs from C_{t-3} at no more
+    # than a third of the vertices
     graph, stacks, _ = SPARSE_CASE
     corrections = []
     correct = diffusion._fire_delta
@@ -295,7 +298,9 @@ def test_the_sparse_byte_case_is_fired_mostly_by_correction(monkeypatch):
     )
     report = boardpile.detect_period(Graph(graph["n"], graph["edges"]), stacks)
     assert (report.preperiod, report.period) == (155, 2)
-    assert len(corrections) > (report.preperiod + report.period) / 2
+    configs = reference_trajectory(graph, stacks, report.preperiod + report.period)
+    past = [3 * sum(map(ne, configs[t - 1], configs[t - 3])) <= graph["n"] for t in range(3, len(configs))]
+    assert len(corrections) == sum(past) == 73
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])

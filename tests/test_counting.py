@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -7,6 +8,7 @@ from boardpile.counting import (
     LABELLED_CAP,
     REFERENCE_COUNTS,
     UNLABELLED_CAP,
+    _SECOND_FIRINGS,
     _closed_form_coefficient,
     _top_block_counts,
     asymptotic_constant,
@@ -20,6 +22,7 @@ from boardpile.counting import (
     recurrence_count,
     recurrence_counts,
 )
+import boardpile.diffusion as diffusion
 from boardpile.polyomino import compositions
 
 
@@ -306,3 +309,71 @@ def test_brute_force_multisets_are_normalized_and_sorted():
             assert ms[0] == 0
             assert ms == tuple(sorted(ms))
             assert max(ms) <= 2 * n
+
+
+def _plain_multisets(n):
+    """The fire-twice scan over sorted multisets with minimum 0, memo-free."""
+    from boardpile.diffusion import fire_complete
+
+    tails = itertools.combinations_with_replacement(range(2 * n + 1), n - 1)
+    return [ms for ms in ((0,) + tail for tail in tails) if fire_complete(fire_complete(ms)) == ms]
+
+
+def _plain_labelled(n):
+    """The fire-twice count over vectors in [0, 2n]^n with minimum 0, memo-free."""
+    from boardpile.diffusion import fire
+    from boardpile.graphs import complete
+
+    g = complete(n)
+    vectors = itertools.product(range(2 * n + 1), repeat=n)
+    return sum(1 for vec in vectors if 0 in vec and fire(g, fire(g, vec)) == vec)
+
+
+def test_brute_force_scans_match_plain_fire_twice_scans():
+    for n in range(1, 7):
+        assert brute_force_period_multisets(n) == _plain_multisets(n)
+    for n in range(1, 5):
+        assert brute_force_labelled(n) == _plain_labelled(n)
+
+
+def _counted(monkeypatch, name):
+    """Replace diffusion's step `name` by a wrapper that counts its calls."""
+    step = getattr(diffusion, name)
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(diffusion, name, counted)
+    return calls
+
+
+def test_brute_force_scans_fire_a_repeated_image_once(monkeypatch):
+    # every candidate is fired once, and its image again only if the memo
+    # has not fired that image yet, so the scans fire under twice a candidate
+    ranked = _counted(monkeypatch, "_fire_rank")
+    raw = _counted(monkeypatch, "_fire_raw")
+    brute_force_period_multisets(6)
+    candidates = math.comb(3 * 6 - 1, 6 - 1)
+    assert candidates <= ranked[0] < 2 * candidates
+    assert raw[0] == 0
+    ranked[0] = 0
+    brute_force_labelled(4)
+    candidates = 9**4 - 8**4
+    assert candidates <= raw[0] < 2 * candidates
+    assert ranked[0] == 0
+
+
+def test_brute_force_memo_is_bounded():
+    # With 512 entries the scan peaked at 263 KB, about 510 bytes an entry
+    # (two 5-tuples and a dict slot, and the scan's own work); a memo never
+    # emptied holds all 9,950 first images of K_5 and peaked at 1.9 MB.
+    brute_force_labelled(2)
+    tracemalloc.start()
+    try:
+        brute_force_labelled(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * _SECOND_FIRINGS
