@@ -158,6 +158,13 @@ def _load_graph(path: str) -> graphs.Graph:
     return _construct(name, getattr(graphs, family), n)
 
 
+def _load_graph_and_stacks(args) -> tuple[graphs.Graph, tuple[int, ...]]:
+    if args.graph == args.config == "-":
+        raise InputError("only one document can come from stdin: give the other as a file")
+    g = _load_graph(args.graph)
+    return g, _load_stacks(args.config, g)
+
+
 def _load_stacks(path: str, g: graphs.Graph) -> tuple[int, ...]:
     name = "configuration document"
     stacks = _integers(_read_document(path, name), name, "stacks")
@@ -231,8 +238,7 @@ def _cmd_simulate(args) -> int:
         raise InputError("--steps must be nonnegative")
     if args.steps > sys.maxsize:
         raise InputError(f"--steps is capped at sys.maxsize = {sys.maxsize}")
-    g = _load_graph(args.graph)
-    stacks = _load_stacks(args.config, g)
+    g, stacks = _load_graph_and_stacks(args)
     _emit(_trajectory_text(g, stacks, args.steps, args.format), args.out)
     return 0
 
@@ -243,8 +249,7 @@ def _cmd_period(args) -> int:
     max_steps = diffusion.DEFAULT_MAX_STEPS if args.max_steps is None else args.max_steps
     if max_steps < 1:
         raise InputError("--max-steps must be at least 1")
-    g = _load_graph(args.graph)
-    stacks = _load_stacks(args.config, g)
+    g, stacks = _load_graph_and_stacks(args)
     report = diffusion.detect_period(g, stacks, max_steps=max_steps)
     # json.dumps(..., indent=2) of {"preperiod", "period", "configs"}
     configs = ",\n".join(_stacks_block(c, "    ") for c in report.period_configs)

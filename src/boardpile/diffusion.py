@@ -17,16 +17,16 @@ every edge is visited.  Along a trajectory, though, C_t - C_{t-2}
 goes to zero as the cycle nears, so once at most a third of the vertices
 differ from two steps back, _orbit() fires C_{t-1} as a correction of the step
 C_{t-3} -> C_{t-2}, in O(n + sum of deg(v) over the vertices v that differ).
-The graph picks one of three kernels for a step from n and m alone
-(Graph.kernel), and all give identical results:
+_orbit() picks one of three kernels once per trajectory, by _kernel() from n
+and m alone, and all give identical results (a lone fire() builds no masks):
 - "rank", on K_n with 3n < m: each vertex moves by how many stacks sit above
   and below its own, O(n log n).  That step is written once: fire_complete()
   is the same step on a multiset, sorted afterwards.
 - "masks", on a graph dense enough that they beat the edge loop: for each
   distinct stack x one 2n-bit mask marks the vertices at or above x once and
-  those above x twice.  ANDed with a vertex's neighbour mask (Graph.masks),
-  the mask of its stack has #richer - #poorer + deg bits set.  A step is
-  O(n log n) integer operations on 2n bits.
+  those above x twice.  ANDed with a vertex's neighbour mask, built once per
+  trajectory in O(m), the mask of its stack has #richer - #poorer + deg bits
+  set.  A step is O(n log n) integer operations on 2n bits.
 - "edges" otherwise: the edge loop, and _orbit()'s corrections.
 """
 
@@ -35,6 +35,7 @@ from __future__ import annotations
 import sys
 from collections import deque, namedtuple
 from collections.abc import Generator, Iterable, Iterator, Sequence
+from functools import partial
 from itertools import compress, count, cycle, islice
 from operator import add, and_, index, ne, sub
 
@@ -97,28 +98,50 @@ def _fire_rank(stacks: Config) -> Config:
     return tuple(map(moved.__getitem__, stacks))
 
 
+def _kernel(n: int, m: int) -> str:
+    """How _orbit() fires a graph on n vertices with m edges: "rank", "masks" or "edges"."""
+    if m == n * (n - 1) // 2 and 3 * n < m:
+        return "rank"
+    # Measured on Python 3.11 (README), a mask step costs about as much as the
+    # edge loop over n (4.5 + n/500) edges; past n (6 + n/400) masks win at
+    # every size measured.  They hold about n^2/4 bytes against 64 an edge
+    # tuple, and past n = 4,300 that bound is the tighter one.
+    if 400 * m > n * (2400 + n) and n * n <= 256 * m:
+        return "masks"
+    return "edges"
+
+
+def _neighbour_masks(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per vertex u of g, a mask with bits w and n + w set for each neighbour w, and deg(u)."""
+    n = g.n
+    rows = [0] * n
+    for u, v in g.edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return tuple([row | row << n for row in rows]), tuple(map(int.bit_count, rows))
+
+
+def _fire_masks(masks: Sequence[int], degrees: Sequence[int], stacks: Config) -> Config:
+    # level[x] has bit w set for each vertex w at or above x, and bit n + w
+    # for each one above it.  Its keys run through the distinct stacks from
+    # the largest down, each first holding the vertices at it.
+    n = len(stacks)
+    level = dict.fromkeys(sorted(set(stacks), reverse=True), 0)
+    for w, x in enumerate(stacks):
+        level[x] |= 1 << w
+    above = 0
+    for x, at in level.items():
+        at_or_above = above | at
+        level[x] = at_or_above | above << n
+        above = at_or_above
+    # masks[u] & level[s_u] counts u's neighbours at or above s_u once and
+    # those above it once more, 2 #richer + #equal, so less deg(u) it is
+    # #richer - #poorer
+    gains = map(int.bit_count, map(and_, masks, map(level.__getitem__, stacks)))
+    return tuple(map(sub, map(add, stacks, gains), degrees))
+
+
 def _fire_raw(g: Graph, stacks: Config) -> Config:
-    kernel = g.kernel
-    if kernel == "rank":
-        return _fire_rank(stacks)
-    if kernel == "masks":
-        # level[x] has bit w set for each vertex w at or above x, and bit n + w
-        # for each one above it.  Its keys run through the distinct stacks from
-        # the largest down, each first holding the vertices at it.
-        n = len(stacks)
-        level = dict.fromkeys(sorted(set(stacks), reverse=True), 0)
-        for w, x in enumerate(stacks):
-            level[x] |= 1 << w
-        above = 0
-        for x, at in level.items():
-            at_or_above = above | at
-            level[x] = at_or_above | above << n
-            above = at_or_above
-        # masks[u] & level[s_u] counts u's neighbours at or above s_u once and
-        # those above it once more, 2 #richer + #equal, so less deg(u) it is
-        # #richer - #poorer
-        gains = map(int.bit_count, map(and_, g.masks, map(level.__getitem__, stacks)))
-        return tuple(map(sub, map(add, stacks, gains), g.degrees))
     out = list(stacks)
     for u, v in g.edges:
         su, sv = stacks[u], stacks[v]
@@ -193,12 +216,12 @@ def fire(g: Graph, stacks: Sequence[int]) -> Config:
 
     Every vertex gains one chip per strictly richer neighbour and loses one
     per strictly poorer neighbour.  The total number of chips is conserved.
-    Costs O(m) by the edge loop, O(n log n) on K_n, and O(n log n) integer
-    operations on 2n bits on a graph dense enough that neighbour masks beat
-    the edge loop; Graph.kernel names the one g takes, and all three give
-    identical results.
+    Costs O(n log n) on K_n, by rank, and O(m) on any other graph, by the
+    edge loop.  A trajectory may fire a dense graph faster, by neighbour
+    masks, since it builds them once for all its steps (see _orbit()).
     """
-    return _fire_raw(g, _config_on(g, stacks))
+    c = _config_on(g, stacks)
+    return _fire_rank(c) if _kernel(g.n, len(g.edges)) == "rank" else _fire_raw(g, c)
 
 
 def fire_complete(multiset: Iterable[int]) -> Config:
@@ -241,26 +264,34 @@ def _orbit(g: Graph, start: Config) -> Generator[Config, None, tuple[Config, ...
     steps 1, 2, 4, 8, ... (Brent's cycle finder), which catches any longer
     cycle: PeriodNotOneOrTwo.
 
-    On a graph fired by the edge loop, C_t is fired as a correction of
-    C_{t-2} = fire(C_{t-3}) once C_{t-1} differs from C_{t-3} at no more than
-    a third of the vertices.  That step visits the sum of deg(v) over those
-    vertices, against all m edges for a full step.  On 10,000-vertex graphs
-    of mean degree 10 it is 1.26-1.45 times slower at 41% of the vertices,
-    about even at 29% and faster below (README).  The neighbour lists it
-    reads are built on the first such step.
+    The kernel is picked once, by _kernel(), before the first step, and a
+    masks graph's neighbour masks are built then.  On a graph fired by the
+    edge loop, C_t is fired as a correction of C_{t-2} = fire(C_{t-3}) once
+    C_{t-1} differs from C_{t-3} at no more than a third of the vertices.
+    That step visits the sum of deg(v) over those vertices, against all m
+    edges for a full step.  On 10,000-vertex graphs of mean degree 10 it is
+    1.26-1.45 times slower at 41% of the vertices, about even at 29% and
+    faster below (README).  The neighbour lists it reads are built on the
+    first such step.
     """
-    by_edges = g.kernel == "edges"
+    yield start
+    kernel = _kernel(g.n, len(g.edges))
+    if kernel == "rank":
+        step = _fire_rank
+    elif kernel == "masks":
+        step = partial(_fire_masks, *_neighbour_masks(g))
+    else:
+        step = partial(_fire_raw, g)
     neighbours = None
     oldest, older, previous = None, None, start
     checkpoint, checkpoint_t = start, 0
-    yield start
     for t in count(1):
-        if by_edges and oldest is not None and 3 * sum(map(ne, previous, oldest)) <= g.n:
+        if kernel == "edges" and oldest is not None and 3 * sum(map(ne, previous, oldest)) <= g.n:
             if neighbours is None:
                 neighbours = _neighbour_lists(g)
             current = _fire_delta(g, neighbours, oldest, older, previous)
         else:
-            current = _fire_raw(g, previous)
+            current = step(previous)
         if current == previous:
             return (previous,)
         if current == older:
@@ -350,5 +381,5 @@ def is_period_config(g: Graph, stacks: Sequence[int]) -> bool:
     returning the configuration exactly.
     """
     c = _config_on(g, stacks)
-    return _fire_raw(g, _fire_raw(g, c)) == c
+    return fire(g, fire(g, c)) == c
 

@@ -14,28 +14,16 @@ class Graph:
 
     Vertices are the integers 0..n-1.  Edges are unordered pairs of distinct
     vertices, stored canonically as (u, v) with u < v, in the sorted tuple
-    `edges`; a dense graph also holds them as neighbour masks.  Built from an
-    edge list, the graph costs O(m log m): each entry is checked, the keys
-    u*n + v are sorted and the edge tuples are decoded from them in ascending
-    order, all sharing one int object per vertex, so a step walks the edges
-    and their endpoints in the order they sit in memory.  The family
-    constructors build the same layout in O(m), with no check, sort or
-    decode: they make the edges in ascending order from one int per vertex.
-
-    `kernel` names how diffusion fires the graph, picked from n and m alone
-    by _kernel(), and all three kernels give identical results:
-    - "rank" for K_n with 3n < m: a step costs O(n log n), since each vertex
-      moves by how many stacks sit above and below its own.
-    - "masks" where a step on them beats the edge loop and they take no
-      more memory than the edge tuples: `masks[u]` has bits w and n + w set
-      for each neighbour w of u, and `degrees[u]` is deg(u).  A step costs
-      O(n log n) integer operations on 2n bits, and the masks hold about
-      n^2/4 bytes, against about 64 bytes an edge tuple.
-    - "edges" otherwise: a step visits every edge, O(m).
-    `masks` and `degrees` are None unless the kernel is "masks".
+    `edges`.  Built from an edge list, the graph costs O(m log m): each entry
+    is checked, the keys u*n + v are sorted and the edge tuples are decoded
+    from them in ascending order, all sharing one int object per vertex, so a
+    step walks the edges and their endpoints in the order they sit in memory.
+    The family constructors build the same layout in O(m), with no check,
+    sort or decode: they make the edges in ascending order from one int per
+    vertex.
     """
 
-    __slots__ = ("n", "edges", "kernel", "masks", "degrees")
+    __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         n = _integer(n, "vertex count")
@@ -62,14 +50,9 @@ class Graph:
         self._fill(n, tuple([(vertices[u], vertices[v]) for u, v in map(divmod, keys, repeat(n))]))
 
     def _fill(self, n: int, edges: tuple[Edge, ...]) -> None:
-        """Set every field from n and the canonical, ascending edges."""
-        kernel = _kernel(n, len(edges))
-        masks, degrees = _neighbour_masks(n, edges) if kernel == "masks" else (None, None)
+        """Set both fields from n and the canonical, ascending edges."""
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "degrees", degrees)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -90,28 +73,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={len(self.edges)})"
-
-
-def _kernel(n: int, m: int) -> str:
-    """Graph.kernel for a graph with n vertices and m edges."""
-    if m == n * (n - 1) // 2 and 3 * n < m:
-        return "rank"
-    # Measured on Python 3.11 (README), a mask step costs about as much as the
-    # edge loop over n (4.5 + n/500) edges; past n (6 + n/400) masks win at
-    # every size measured.  They hold about n^2/4 bytes against 64 an edge
-    # tuple, and past n = 4,300 that bound is the tighter one.
-    if 400 * m > n * (2400 + n) and n * n <= 256 * m:
-        return "masks"
-    return "edges"
-
-
-def _neighbour_masks(n: int, edges: Sequence[Edge]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Graph.masks and Graph.degrees of a graph on n vertices with these edges."""
-    rows = [0] * n
-    for u, v in edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return tuple([row | row << n for row in rows]), tuple(map(int.bit_count, rows))
 
 
 def _integer(value, what: str) -> int:

@@ -91,12 +91,14 @@ def _trusted(strips: tuple[Strip, ...]) -> BoardPilePolyomino:
 def compositions(total: int) -> Iterator[tuple[int, ...]]:
     """Ordered sequences of positive integers summing to `total`, in
     lexicographic order: (1,1,1) before (1,2) before (2,1) before (3)."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in compositions(total - first):
-            yield (first,) + rest
+    # the next in order: take the last part x off, add 1 to the new last, append x - 1 ones
+    parts = [1] * total
+    yield tuple(parts)
+    while len(parts) > 1:
+        last = parts.pop()
+        parts[-1] += 1
+        parts += [1] * (last - 1)
+        yield tuple(parts)
 
 
 def enumerate_board_pile(n: int) -> Iterator[BoardPilePolyomino]:

@@ -5,14 +5,14 @@ import pytest
 
 import boardpile.diffusion as diffusion
 
-# The raw firing steps: _fire_raw is behind fire() and every trajectory, and
-# holds the edge loop and the mask step; _fire_delta fires a sparse
-# trajectory's later steps as a correction of the step two back; and
-# _fire_rank, the K_n step by rank, is behind fire_complete() and the K_n
-# branch of _fire_raw.  The audit wraps all three in place, so every firing
-# step the suite takes goes through it, and a K_n step is checked at both
-# levels.  A trajectory step is exactly one call of _fire_raw or _fire_delta.
-_AUDITED_STEPS = ("_fire_raw", "_fire_delta", "_fire_rank")
+# The raw firing steps, one per kernel: _fire_raw is the edge loop, behind
+# fire() and a sparse trajectory's full steps; _fire_delta fires a sparse
+# trajectory's later steps as a correction of the step two back; _fire_masks
+# fires a dense trajectory by neighbour masks; and _fire_rank, the K_n step by
+# rank, is behind fire_complete(), fire() on K_n and every K_n trajectory.  The
+# audit wraps them all in place, so every firing step the suite takes goes
+# through it, and a trajectory step is exactly one call of one of them.
+_AUDITED_STEPS = ("_fire_raw", "_fire_delta", "_fire_masks", "_fire_rank")
 
 
 class FireAudit:
@@ -51,6 +51,11 @@ _originals = {name: getattr(diffusion, name) for name in _AUDITED_STEPS}
 
 
 def pytest_sessionstart(session):
+    unaudited = sorted(
+        name for name in vars(diffusion) if name.startswith("_fire_") and name not in _AUDITED_STEPS
+    )
+    if unaudited:
+        pytest.exit(f"firing steps missing from the fire audit: {', '.join(unaudited)}", returncode=1)
     for name, step in _originals.items():
         setattr(diffusion, name, _audit.wrap(step))
 

@@ -283,7 +283,9 @@ BYTE_CASES = [
 
 
 def test_the_byte_cases_take_the_edge_loop_and_the_masks():
-    kernels = [Graph(graph["n"], graph["edges"]).kernel for graph, _, _ in (SPARSE_CASE, DENSE_CASE)]
+    kernels = [
+        diffusion._kernel(graph["n"], len(graph["edges"])) for graph, _, _ in (SPARSE_CASE, DENSE_CASE)
+    ]
     assert kernels == ["edges", "masks"]
 
 
@@ -373,7 +375,7 @@ def test_simulate_streams_in_one_slot_per_step(tmp_path, monkeypatch, fmt):
 
 @pytest.mark.parametrize("g, stacks", [(boardpile.path(5), P5_CONFIG["stacks"]), sparse_start(0)])
 def test_simulate_fires_only_up_to_the_close(tmp_path, monkeypatch, fire_audit, g, stacks):
-    assert g.kernel == "edges"  # one audited call per step
+    assert diffusion._kernel(g.n, len(g.edges)) == "edges"  # one audited call per step
     report = boardpile.detect_period(g, stacks)
     gpath = write_doc(tmp_path, "g.json", {"n": g.n, "edges": [list(e) for e in g.edges]})
     cpath = write_doc(tmp_path, "c.json", {"stacks": list(stacks)})
@@ -517,6 +519,18 @@ def test_render_reads_stdin_as_utf8_whatever_the_locale(monkeypatch, capsys):
     code, out, err = invoke(["render", "-"], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: polyomino document is not UTF-8: ")
+
+
+@pytest.mark.parametrize("command", [["period"], ["simulate", "--steps", "3"]])
+def test_both_documents_from_stdin_are_refused_before_reading(monkeypatch, capsys, command):
+    class Unread:
+        def __getattr__(self, name):
+            raise AssertionError("stdin was read")
+
+    monkeypatch.setattr(sys, "stdin", Unread())
+    code, out, err = invoke([command[0], "-", "-", *command[1:]], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: only one document can come from stdin: give the other as a file\n"
 
 
 # --- map ---------------------------------------------------------------------------

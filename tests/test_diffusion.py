@@ -20,7 +20,7 @@ from boardpile.diffusion import (
     orientation_of,
     run,
 )
-from boardpile.graphs import Graph, _neighbour_masks, complete, path, star
+from boardpile.graphs import Graph, complete, path, star
 
 # Path on five vertices with a preperiod of 3 and a period of 2; the full
 # trajectory is pinned down step by step.
@@ -108,16 +108,12 @@ def test_fire_matches_edge_loop_at_every_density(gs):
     g, stacks = gs
     expected = reference_fire(g, stacks)
     assert fire(g, stacks) == expected
-    # the rule only picks the fastest kernel: forced onto any kernel that
-    # applies to it, a graph of any density still fires the same (a Graph
-    # refuses assignment, so its fields are set past the guard)
-    masks, degrees = _neighbour_masks(g.n, g.edges)
-    kernels = ["edges", "masks"] + ["rank"] * (len(g.edges) == g.n * (g.n - 1) // 2)
-    for kernel in kernels:
-        forced = Graph(g.n, g.edges)
-        for field, value in (("kernel", kernel), ("masks", masks), ("degrees", degrees)):
-            object.__setattr__(forced, field, value)
-        assert fire(forced, stacks) == expected
+    # the rule only picks the fastest kernel: every kernel that applies to a
+    # graph of any density fires it the same
+    assert diffusion._fire_raw(g, stacks) == expected
+    assert diffusion._fire_masks(*diffusion._neighbour_masks(g), stacks) == expected
+    if len(g.edges) == g.n * (g.n - 1) // 2:
+        assert diffusion._fire_rank(stacks) == expected
 
 
 def dense_start():
@@ -129,13 +125,54 @@ def dense_start():
     return g, tuple(rng.randint(-5, 5) for _ in range(n))
 
 
-def test_fire_dense_graph_takes_masks_and_matches_edge_loop():
+def kernel_of(g):
+    return diffusion._kernel(g.n, len(g.edges))
+
+
+def test_kernel_is_picked_from_n_and_m():
+    # K_n with 3n < m fires by rank; masks only where a step on them beats the
+    # edge loop and they hold no more memory than the edge tuples
+    assert kernel_of(complete(10)) == "rank"
+    assert kernel_of(complete(5)) == "edges"
+    assert kernel_of(path(100)) == "edges"
+    assert kernel_of(Graph(0)) == "edges"
+    assert kernel_of(dense_start()[0]) == "masks"
+    assert diffusion._kernel(10**4, 5 * 10**4) == "edges"
+    # a dense graph's masks hold each neighbour w of u at bits w and n + w
+    rng = random.Random(4)
+    g = Graph(40, [e for e in combinations(range(40), 2) if rng.random() < 0.9])
+    assert kernel_of(g) == "masks"
+    masks, degrees = diffusion._neighbour_masks(g)
+    for u in range(40):
+        neighbours = [w for edge in g.edges if u in edge for w in edge if w != u]
+        low = sum(1 << w for w in neighbours)
+        assert (masks[u], degrees[u]) == (low | low << 40, len(neighbours))
+
+
+def test_dense_trajectory_takes_masks_and_matches_edge_loop():
+    # fire() takes the edge loop on any graph but K_n
     g, stacks = dense_start()
-    assert g.kernel == "masks"
-    for _ in range(20):
-        fired = fire(g, stacks)
-        assert fired == reference_fire(g, stacks)
-        stacks = fired
+    assert kernel_of(g) == "masks"
+    assert run(g, stacks, 20) == reference_run(g, stacks, 20)
+
+
+def test_masks_are_built_once_a_trajectory_and_never_for_a_lone_step(monkeypatch):
+    g, stacks = dense_start()
+    build = diffusion._neighbour_masks
+    builds = []
+    monkeypatch.setattr(diffusion, "_neighbour_masks", lambda g: builds.append(g) or build(g))
+    report = detect_period(g, stacks)
+    assert len(builds) == 1
+    assert run(g, stacks, 1_000)[-1] in report.period_configs
+    assert len(builds) == 2
+
+    def refuse(g):
+        raise AssertionError("masks built for a lone step")
+
+    monkeypatch.setattr(diffusion, "_neighbour_masks", refuse)
+    assert fire(g, stacks) == reference_fire(g, stacks)
+    assert not is_period_config(g, stacks)
+    assert is_period_config(g, report.period_configs[0])
 
 
 # --- fire_complete ---------------------------------------------------------
@@ -272,12 +309,23 @@ def sparse_start(seed, n=300, m=1500):
     return Graph(n, sorted(pairs)), tuple(rng.randint(-3, 3) for _ in range(n))
 
 
-@pytest.mark.parametrize(
-    "g, stacks, steps",
-    [(P5, P5_START, 100_000), (path(2), (0, 2), 100_000), (*sparse_start(0), 1_000)],
-)
+RUN_CASES = [
+    (P5, P5_START, 100_000),
+    (path(2), (0, 2), 100_000),
+    (*sparse_start(0), 1_000),
+    (*dense_start(), 1_000),
+    (complete(12), (0, 9, 30, 2, 2, 17, 5, 30, 11, 0, 8, 24), 1_000),
+]
+
+
+def test_run_cases_take_every_kernel():
+    kernels = [kernel_of(g) for g, _, _ in RUN_CASES]
+    assert kernels == ["edges", "edges", "edges", "masks", "rank"]
+
+
+@pytest.mark.parametrize("g, stacks, steps", RUN_CASES)
 def test_run_stops_firing_once_the_cycle_closes(fire_audit, g, stacks, steps):
-    assert g.kernel == "edges"  # one audited call per step
+    # whichever kernel fires it, a trajectory step is one audited call
     report = detect_period(g, stacks)
     closes = report.preperiod + report.period
     assert closes < steps
@@ -330,7 +378,7 @@ def test_dense_trajectory_fires_by_masks(monkeypatch):
 
     monkeypatch.setattr(diffusion, "_fire_delta", refuse)
     g, stacks = dense_start()
-    assert g.kernel == "masks"
+    assert kernel_of(g) == "masks"
     assert detect_period(g, stacks).preperiod == 256
 
 

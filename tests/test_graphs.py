@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 import boardpile.graphs as graphs
 from boardpile.graphs import Graph, complete, cycle, path, star
-from test_diffusion import dense_start
 
 
 def test_complete_edge_counts():
@@ -94,27 +93,6 @@ def test_graph_rejects_entries_that_are_not_pairs():
         Graph(3, [None])
 
 
-def test_graphs_pick_their_kernel_from_n_and_m():
-    # K_n with 3n < m fires by rank; masks only where a step on them beats the
-    # edge loop and they hold no more memory than the edge tuples
-    assert complete(10).kernel == "rank"
-    assert complete(5).kernel == "edges"
-    assert path(100).kernel == "edges"
-    assert Graph(0).kernel == "edges"
-    assert dense_start()[0].kernel == "masks"
-    n = 10**4
-    sparse = Graph(n, [(u, (u + k) % n) for u in range(n) for k in range(1, 6)])
-    assert (len(sparse.edges), sparse.kernel, sparse.masks) == (5 * 10**4, "edges", None)
-    # a dense graph's masks hold each neighbour w of u at bits w and n + w
-    rng = random.Random(4)
-    g = Graph(40, [e for e in combinations(range(40), 2) if rng.random() < 0.9])
-    assert g.kernel == "masks"
-    for u in range(40):
-        neighbours = [w for edge in g.edges if u in edge for w in edge if w != u]
-        low = sum(1 << w for w in neighbours)
-        assert (g.masks[u], g.degrees[u]) == (low | low << 40, len(neighbours))
-
-
 def test_graphs_hashable_and_equal_by_structure():
     assert complete(3) == cycle(3)
     assert hash(complete(3)) == hash(cycle(3))
@@ -131,7 +109,7 @@ FAMILIES = [
 
 
 def fields(g):
-    return (g.n, g.edges, hash(g), g.kernel, g.masks, g.degrees)
+    return (g.n, g.edges, hash(g))
 
 
 def test_family_graphs_equal_their_edge_lists():

@@ -151,6 +151,13 @@ def test_enumerate_single_cell():
     assert [x.strips for x in enumerate_board_pile(1)] == [((0, 1),)]
 
 
+def test_enumerate_streams_past_the_recursion_limit():
+    # compositions are made without recursion: the first polyomino of 3,000
+    # cells is the one-cell-wide column
+    first = next(enumerate_board_pile(3000))
+    assert first.strips == ((0, 1),) + ((1, 1),) * 2999
+
+
 def test_enumerate_two_cells_in_order():
     assert [x.strips for x in enumerate_board_pile(2)] == [
         ((0, 1), (1, 1)),
