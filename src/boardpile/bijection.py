@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import groupby
 
-from .diffusion import fire_complete, normalize
+from . import diffusion
 from .polyomino import BoardPilePolyomino, reflect
 
 
@@ -56,7 +56,7 @@ def config_to_poly(multiset: Iterable[int]) -> BoardPilePolyomino:
         raise ValueError("empty multiset")
     if ms[0] != 0:
         raise NotNormalized(f"smallest stack value is {ms[0]}, expected 0")
-    if fire_complete(fire_complete(ms)) != ms:
+    if diffusion.fire_complete(diffusion.fire_complete(ms)) != ms:
         raise NotAPeriodConfiguration(f"multiset {ms} is not inside its own cycle")
     strips = []
     below = 0
@@ -69,4 +69,7 @@ def config_to_poly(multiset: Iterable[int]) -> BoardPilePolyomino:
 def check_fire_reflect(x: BoardPilePolyomino) -> bool:
     """True iff firing the image once, then renormalizing, lands on the image
     of the vertically flipped polyomino."""
-    return normalize(fire_complete(poly_to_config(x))) == poly_to_config(reflect(x))
+    # the image is sorted and its stacks are ints, so it is fired as it is
+    fired = diffusion._fire_blocks(poly_to_config(x))
+    lowest = fired[0]
+    return tuple([s - lowest for s in fired]) == poly_to_config(reflect(x))

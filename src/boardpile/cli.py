@@ -429,6 +429,8 @@ def verify_labelled(n_max: int) -> tuple[bool, str]:
 
 
 def _cmd_verify(args) -> int:
+    from time import perf_counter
+
     from . import counting
 
     if not 1 <= args.max_unlabelled <= counting.UNLABELLED_CAP:
@@ -444,13 +446,16 @@ def _cmd_verify(args) -> int:
         ("fire-reflect", lambda: verify_fire_reflect(args.max_reflect)),
         ("labelled-oracle", lambda: verify_labelled(args.max_labelled)),
     ]
-    results = {}
+    results, elapsed = {}, {}
     for name, check in checks:
+        started = perf_counter()
         ok, detail = check()
+        elapsed[name] = round(perf_counter() - started, 4)
         results[name] = ok
         sys.stdout.write(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}\n")
     summary = {
         "checks": results,
+        "elapsed_s": elapsed,
         "params": {
             "max_unlabelled": args.max_unlabelled,
             "max_labelled": args.max_labelled,

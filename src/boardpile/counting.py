@@ -255,16 +255,15 @@ def _fired_twice_back(
 
 def brute_force_period_multisets(n: int) -> list[tuple[int, ...]]:
     """All sorted periodic multisets on n vertices with minimum 0."""
-    from .diffusion import _fire_rank
+    from .diffusion import _fire_blocks
 
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > UNLABELLED_CAP:
         raise ValueError(f"n={n} exceeds the brute-force cap {UNLABELLED_CAP}")
     tails = itertools.combinations_with_replacement(range(2 * n + 1), n - 1)
-    return list(
-        _fired_twice_back(lambda ms: tuple(sorted(_fire_rank(ms))), ((0,) + tail for tail in tails))
-    )
+    # each candidate is sorted, and so is each image, so both fire as they are
+    return list(_fired_twice_back(_fire_blocks, ((0,) + tail for tail in tails)))
 
 
 def brute_force_labelled(n: int) -> int:

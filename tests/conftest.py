@@ -8,11 +8,13 @@ import boardpile.diffusion as diffusion
 # The raw firing steps, one per kernel: _fire_raw is the edge loop, behind
 # fire() and a sparse trajectory's full steps; _fire_delta fires a sparse
 # trajectory's later steps as a correction of the step two back; _fire_masks
-# fires a dense trajectory by neighbour masks; and _fire_rank, the K_n step by
-# rank, is behind fire_complete(), fire() on K_n and every K_n trajectory.  The
-# audit wraps them all in place, so every firing step the suite takes goes
-# through it, and a trajectory step is exactly one call of one of them.
-_AUDITED_STEPS = ("_fire_raw", "_fire_delta", "_fire_masks", "_fire_rank")
+# fires a dense trajectory by neighbour masks; _fire_rank, the K_n step by
+# rank, is behind fire() on K_n and every K_n trajectory; and _fire_blocks,
+# the same step on a sorted multiset, is behind fire_complete(), the
+# unlabelled scan and check_fire_reflect().  The audit wraps them all in
+# place, so every firing step the suite takes goes through it, and a
+# trajectory step is exactly one call of one of them.
+_AUDITED_STEPS = ("_fire_raw", "_fire_delta", "_fire_masks", "_fire_rank", "_fire_blocks")
 
 
 class FireAudit:

@@ -1,5 +1,6 @@
 import pytest
 
+import boardpile.bijection as bijection
 from boardpile.bijection import (
     NotAPeriodConfiguration,
     NotNormalized,
@@ -113,3 +114,12 @@ def test_fire_reflect_small_sizes_exhaustively():
     for n in range(1, 7):
         for x in enumerate_board_pile(n):
             assert check_fire_reflect(x)
+
+
+def test_fire_reflect_fails_when_reflection_does_not_match(monkeypatch):
+    # strips (0, 1), (1, 2) are not their own mirror: with reflection taken
+    # as the identity, the fired image no longer matches
+    x = BoardPilePolyomino(((0, 1), (1, 2)))
+    assert check_fire_reflect(x)
+    monkeypatch.setattr(bijection, "reflect", lambda x: x)
+    assert not check_fire_reflect(x)

@@ -887,6 +887,13 @@ def test_count_cap(capsys, mode, cap):
         assert (code, out, err) == (2, "", f"error: {flag} for mode {mode!r} is capped at {cap}\n")
 
 
+def test_count_brute_runs_at_its_cap(capsys):
+    # the scan runs at its cap, as the README documents
+    code, out, err = invoke(["count", "--mode", "brute", "--n", "8"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"n": 8, "count": "2017"}
+
+
 # --- verify -------------------------------------------------------------------------
 
 
@@ -907,6 +914,11 @@ def test_verify_small_scale_passes(capsys):
         "labelled-oracle",
     }
     assert ", ".join(str(v) for v in counting.REFERENCE_COUNTS) in out
+    assert summary["params"] == {"max_unlabelled": 4, "max_labelled": 3, "max_reflect": 5}
+    # each check's time, in seconds, under the check's own name
+    elapsed = summary["elapsed_s"]
+    assert set(elapsed) == set(summary["checks"])
+    assert all(type(seconds) is float and 0 <= seconds < 60 for seconds in elapsed.values())
 
 
 def test_verify_trivial_caps_pass(capsys):

@@ -207,6 +207,17 @@ def test_fire_complete_matches_labelled_fire(values, rng):
     assert fire_complete(values) == tuple(sorted(reference_fire(g, shuffled)))
 
 
+# few small values, so that blocks of equal stacks are common, beside huge ones
+block_values = st.integers(-3, 3) | st.integers(-(10**45), 10**45)
+
+
+@given(st.lists(block_values, min_size=1, max_size=30))
+@example([10**40 + 1, 10**40 + 1, -2, 10**40, 0, 0])
+def test_fire_blocks_is_the_rank_step_sorted(values):
+    ascending = tuple(sorted(values))
+    assert diffusion._fire_blocks(ascending) == tuple(sorted(diffusion._fire_rank(ascending)))
+
+
 # --- orientation -----------------------------------------------------------
 
 
