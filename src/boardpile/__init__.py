@@ -34,7 +34,6 @@ _EXPORTS = {
     ),
     "diffusion": (
         "NoRepeatWithinBudget",
-        "Orientation",
         "PeriodNotOneOrTwo",
         "PeriodReport",
         "detect_period",
@@ -42,7 +41,6 @@ _EXPORTS = {
         "fire_complete",
         "is_period_config",
         "normalize",
-        "orientation_of",
         "run",
     ),
     "graphs": ("Graph", "complete", "cycle", "path", "star"),

@@ -4,7 +4,8 @@ Subcommands: simulate, period, enumerate, render, map, count, verify.
 All documents are UTF-8 JSON objects:
 
 * graph: {"n": N, "edges": [[u, v], ...]}, or a family
-  {"family": "complete"|"cycle"|"path"|"star", "n": N};
+  {"family": "complete"|"cycle"|"path"|"star", "n": N}, whose N is checked
+  against its configuration's stacks before the family graph is built;
 * configuration: {"stacks": [s_0, ..., s_{N-1}]};
 * polyomino: {"strips": [[d, length], ...]}, bottom strip first.
 
@@ -24,6 +25,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
+from itertools import chain
 
 # Each handler imports the library modules it runs, so a run loads only those.
 # These names serve the annotations alone.
@@ -46,19 +48,12 @@ _ENUMERATE_CAP = 15
 _RENDER_CAP = 10**7
 _MAP_CAP = 10**6
 
-# graph families by their constructor's name in graphs, each with its edge
-# count on n >= 1 vertices
-_FAMILIES = {
-    "complete": lambda n: n * (n - 1) // 2,
-    "cycle": lambda n: n,
-    "path": lambda n: n - 1,
-    "star": lambda n: n - 1,
-}
+# count's labelled table a(1)..a(n), which --n builds too: 2.8 s and 18 MB
+# end to end at the cap, 25 s and 31 MB at 2000
+_LABELLED_TABLE_CAP = 1000
 
-# a family document is about 30 bytes whatever n it names, and its build
-# holds about 120 bytes an edge: at the cap a path, cycle or star takes
-# 0.3-0.4 s and 245 MB, and K_2000 (1,999,000 edges) 0.2-0.3 s and 167 MB
-_FAMILY_CAP = 2 * 10**6
+# graph families by their constructor's name in graphs
+_FAMILIES = ("complete", "cycle", "path", "star")
 
 # the int->str digit limit main() was entered with, which documents are parsed
 # under: main() lifts it for the rest, since counts and stacks outgrow it
@@ -129,11 +124,13 @@ def _construct(name: str, make, *args):
         raise InputError(f"{name}: {exc}") from exc
 
 
-def _load_graph(path: str) -> graphs.Graph:
+def _load_graph_and_stacks(args) -> tuple[graphs.Graph, tuple[int, ...]]:
     from . import graphs
 
+    if args.graph == args.config == "-":
+        raise InputError("only one document can come from stdin: give the other as a file")
     name = "graph document"
-    doc = _read_document(path, name)
+    doc = _read_document(args.graph, name)
     if "family" in doc and "edges" in doc:
         raise InputError(f"{name} has both 'family' and 'edges': give one")
     if "n" not in doc:
@@ -142,35 +139,26 @@ def _load_graph(path: str) -> graphs.Graph:
     if type(n) is not int:
         raise InputError(f"{name}: field 'n': expected an integer")
     if "family" not in doc:
-        return _construct(name, graphs.Graph, n, _integers(doc, name, "edges", "u, v"))
+        g = _construct(name, graphs.Graph, n, _integers(doc, name, "edges", "u, v"))
+        return g, _load_stacks(args.config, n)
     family = doc["family"]
     if not isinstance(family, str) or family not in _FAMILIES:
         raise InputError(
             f"{name}: field 'family': unknown value {family!r} "
             f"(expected one of {', '.join(_FAMILIES)})"
         )
-    edges = _FAMILIES[family](n) if n > 0 else 0
-    if edges > _FAMILY_CAP:
-        raise InputError(
-            f"{name}: field 'n': {family} on {n} vertices has {edges} edges, "
-            f"capped at {_FAMILY_CAP}"
-        )
-    return _construct(name, getattr(graphs, family), n)
+    # a family document is about 30 bytes whatever n it names: its stacks,
+    # read first, bound what the build costs
+    stacks = _load_stacks(args.config, n)
+    return _construct(name, getattr(graphs, family), n), stacks
 
 
-def _load_graph_and_stacks(args) -> tuple[graphs.Graph, tuple[int, ...]]:
-    if args.graph == args.config == "-":
-        raise InputError("only one document can come from stdin: give the other as a file")
-    g = _load_graph(args.graph)
-    return g, _load_stacks(args.config, g)
-
-
-def _load_stacks(path: str, g: graphs.Graph) -> tuple[int, ...]:
+def _load_stacks(path: str, n: int) -> tuple[int, ...]:
     name = "configuration document"
     stacks = _integers(_read_document(path, name), name, "stacks")
-    if len(stacks) != g.n:
+    if len(stacks) != n:
         raise InputError(
-            f"{name}: field 'stacks': expected {g.n} values for a graph on {g.n} vertices, "
+            f"{name}: field 'stacks': expected {n} values for a graph on {n} vertices, "
             f"got {len(stacks)}"
         )
     return tuple(stacks)
@@ -329,13 +317,13 @@ def _count_method(mode: str) -> tuple:
     """mode's a(n) alone, its table a(1)..a(upto), and the largest n it counts
     or None.  The two walks, whose cost grows exponentially with n, are capped
     and build their table one size at a time; the others build a whole table
-    anyway, and the labelled count is its table's last row."""
+    anyway, and the labelled count, capped too, is its table's last row."""
     from . import counting
 
     one, table, cap = {
         "recurrence": (counting.recurrence_count, counting.recurrence_counts, None),
         "gf": (counting.gf_coefficient, counting.gf_coefficients, None),
-        "labelled": (None, counting.labelled_period_counts, None),
+        "labelled": (None, counting.labelled_period_counts, _LABELLED_TABLE_CAP),
         "enumerate": (_walked_count, None, _ENUMERATE_CAP),
         "brute": (_scanned_count, None, counting.UNLABELLED_CAP),
     }[mode]
@@ -368,11 +356,12 @@ def _cmd_count(args) -> int:
     if cap is not None and size > cap:
         raise InputError(f"{flag} for mode {args.mode!r} is capped at {cap}")
     if args.upto is None:
-        text = json.dumps({"n": size, "count": str(one(size))}) + "\n"
+        chunks = [json.dumps({"n": size, "count": str(one(size))}) + "\n"]
     else:
+        # row by row: the whole text of a table would outweigh its counts
         rows = table(size)
-        text = "n,count\n" + "".join(f"{k},{v}\n" for k, v in enumerate(rows, start=1))
-    _emit([text], args.out)
+        chunks = chain(["n,count\n"], (f"{k},{v}\n" for k, v in enumerate(rows, start=1)))
+    _emit(chunks, args.out)
     return 0
 
 

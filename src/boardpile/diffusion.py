@@ -41,7 +41,7 @@ from functools import partial
 from itertools import compress, count, cycle, islice
 from operator import add, and_, index, ne, sub
 
-from .graphs import Graph, _integer
+from .graphs import Graph, _integer, _size
 
 Config = tuple[int, ...]
 
@@ -73,14 +73,6 @@ PeriodReport.__doc__ = """Eventual cycle of a trajectory.
 The cycle starts after `preperiod` steps and repeats every `period` steps;
 `period_configs` are the cycle members in firing order.  A named tuple, so
 it unpacks as (preperiod, period, period_configs).
-"""
-
-
-Orientation = namedtuple("Orientation", ("arcs", "flat"))
-Orientation.__doc__ = """Edge directions induced by a configuration.
-
-arcs holds (richer, poorer) pairs; flat holds the canonical (u, v), u < v,
-pairs whose endpoints have equal stacks.  Both are frozensets.
 """
 
 
@@ -244,7 +236,7 @@ def fire(g: Graph, stacks: Sequence[int]) -> Config:
     masks, since it builds them once for all its steps (see _orbit()).
     """
     c = _config_on(g, stacks)
-    return _fire_rank(c) if _kernel(g.n, len(g.edges)) == "rank" else _fire_raw(g, c)
+    return _fire_rank(c) if _kernel(g.n, _size(g)) == "rank" else _fire_raw(g, c)
 
 
 def fire_complete(multiset: Iterable[int]) -> Config:
@@ -258,25 +250,6 @@ def fire_complete(multiset: Iterable[int]) -> Config:
     if not values:
         raise ValueError("empty multiset")
     return _fire_blocks(sorted(values))
-
-
-def orientation_of(g: Graph, stacks: Sequence[int]) -> Orientation:
-    """Direct each edge from its richer endpoint to its poorer one.
-
-    Edges between equal stacks are left flat.  Chips flow along exactly the
-    arcs of this orientation, one chip per arc.
-    """
-    c = _config_on(g, stacks)
-    arcs: set[tuple[int, int]] = set()
-    flat: set[tuple[int, int]] = set()
-    for u, v in g.edges:
-        if c[u] > c[v]:
-            arcs.add((u, v))
-        elif c[v] > c[u]:
-            arcs.add((v, u))
-        else:
-            flat.add((u, v))
-    return Orientation(frozenset(arcs), frozenset(flat))
 
 
 def _orbit(g: Graph, start: Config) -> Generator[Config, None, tuple[Config, ...]]:
@@ -299,7 +272,7 @@ def _orbit(g: Graph, start: Config) -> Generator[Config, None, tuple[Config, ...
     first such step.
     """
     yield start
-    kernel = _kernel(g.n, len(g.edges))
+    kernel = _kernel(g.n, _size(g))
     if kernel == "rank":
         step = _fire_rank
     elif kernel == "masks":
@@ -385,7 +358,7 @@ def detect_period(g: Graph, start: Sequence[int], max_steps: int = DEFAULT_MAX_S
         signal = "no configuration two steps before C_1"
     raise NoRepeatWithinBudget(
         f"no repeated configuration within {max_steps} steps "
-        f"(n = {g.n}, m = {len(g.edges)}, {max_steps} steps fired; {signal})"
+        f"(n = {g.n}, m = {_size(g)}, {max_steps} steps fired; {signal})"
     )
 
 

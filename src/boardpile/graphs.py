@@ -20,7 +20,8 @@ class Graph:
     step walks the edges and their endpoints in the order they sit in memory.
     The family constructors build the same layout in O(m), with no check,
     sort or decode: they make the edges in ascending order from one int per
-    vertex.
+    vertex.  complete(n) holds n alone, O(1), and makes its C(n, 2) edges on
+    the first read of `edges`, which no rank step needs.
     """
 
     __slots__ = ("n", "edges")
@@ -49,10 +50,20 @@ class Graph:
         # as long on 10^6 edges, most of it in the cyclic collector
         self._fill(n, tuple([(vertices[u], vertices[v]) for u, v in map(divmod, keys, repeat(n))]))
 
-    def _fill(self, n: int, edges: tuple[Edge, ...]) -> None:
-        """Set both fields from n and the canonical, ascending edges."""
+    def _fill(self, n: int, edges: tuple[Edge, ...] | None) -> None:
+        """Set n, and the canonical, ascending edges unless None: then the
+        graph is K_n, whose edges __getattr__ makes on their first read."""
         object.__setattr__(self, "n", n)
+        if edges is not None:
+            object.__setattr__(self, "edges", edges)
+
+    def __getattr__(self, name):
+        # reached only for an unset field, and only complete() leaves one
+        if name != "edges":
+            raise AttributeError(f"'Graph' object has no attribute {name!r}")
+        edges = _shaped(self.n, lambda vs: combinations(vs, 2))
         object.__setattr__(self, "edges", edges)
+        return edges
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -72,7 +83,15 @@ class Graph:
         return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={_size(self)})"
+
+
+def _size(g: Graph) -> int:
+    """m, the edge count of g, without making the edges of a K_n that has none yet."""
+    try:
+        return len(object.__getattribute__(g, "edges"))
+    except AttributeError:
+        return g.n * (g.n - 1) // 2
 
 
 def _integer(value, what: str) -> int:
@@ -109,23 +128,30 @@ def _checked_keys(n: int, entries: Iterable) -> list[int]:
     return keys
 
 
-def _family(n: int, least: int, too_few: str, pairs: Callable[[list], Iterable[Edge]]) -> Graph:
-    """The graph on n >= least vertices whose edges pairs(vertices) gives,
-    canonical and ascending, from vertices = [0, ..., n-1]: built with no
-    check, sort or decode."""
+def _shaped(n: int, pairs: Callable[[list], Iterable[Edge]]) -> tuple[Edge, ...]:
+    """The edges pairs(vertices) gives, canonical and ascending, from
+    vertices = [0, ..., n-1]: made with no check, sort or decode."""
+    # through a list, for the reason Graph.__init__ gives
+    return tuple(list(pairs(list(range(n)))))
+
+
+def _family(
+    n: int, least: int, too_few: str, pairs: Callable[[list], Iterable[Edge]] | None
+) -> Graph:
+    """The graph on n >= least vertices whose edges _shaped(n, pairs) makes,
+    or K_n with its edges left to their first read if pairs is None."""
     n = _integer(n, "vertex count")
     if n < least:
         raise ValueError(too_few)
-    vertices = list(range(n))
     graph = Graph.__new__(Graph)
-    # through a list, for the reason Graph.__init__ gives
-    graph._fill(n, tuple(list(pairs(vertices))))
+    graph._fill(n, None if pairs is None else _shaped(n, pairs))
     return graph
 
 
 def complete(n: int) -> Graph:
-    """K_n: every pair of the n vertices joined, n >= 1."""
-    return _family(n, 1, "complete graph needs at least 1 vertex", lambda vs: combinations(vs, 2))
+    """K_n: every pair of the n vertices joined, n >= 1.  O(1): it holds n
+    alone until `edges` is first read, which makes all C(n, 2) of them once."""
+    return _family(n, 1, "complete graph needs at least 1 vertex", None)
 
 
 def path(n: int) -> Graph:

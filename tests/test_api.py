@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import boardpile
-from boardpile import BoardPilePolyomino, Graph, InvalidPolyomino, Orientation, PeriodReport
+from boardpile import BoardPilePolyomino, Graph, InvalidPolyomino, PeriodReport
 from boardpile.polyomino import _trusted
 
 # names the package exported once and no longer does
@@ -29,6 +29,8 @@ REMOVED = (
     "labelled_period_count",
     "brute_force_unlabelled",
     "CharacteristicRoots",
+    "Orientation",
+    "orientation_of",
 )
 
 LIBRARY_MODULES = ("graphs", "diffusion", "polyomino", "bijection", "counting")
@@ -124,13 +126,6 @@ VALUES = [
         BoardPilePolyomino(((0, 2), (2, 2))),
         "BoardPilePolyomino(strips=((0, 2), (3, 2)))",
         "strips",
-    ),
-    (
-        Orientation(frozenset({(1, 0)}), frozenset()),
-        Orientation(frozenset({(1, 0)}), frozenset()),
-        Orientation(frozenset(), frozenset({(0, 1)})),
-        "Orientation(arcs=frozenset({(1, 0)}), flat=frozenset())",
-        "arcs",
     ),
     (
         Graph(2, [(0, 1)]),

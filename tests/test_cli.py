@@ -14,8 +14,11 @@ import pytest
 
 import boardpile
 import boardpile.bijection as bijection
+import boardpile.cli as cli
 import boardpile.counting as counting
 import boardpile.diffusion as diffusion
+import boardpile.graphs as graphs
+import boardpile.polyomino as polyomino
 from boardpile.cli import main, verify_count_agreement
 from boardpile.graphs import Graph
 from test_diffusion import reference_fire, sparse_start
@@ -726,31 +729,6 @@ def test_documents_require_exact_integers(tmp_path, capsys, command, docs, field
             [{"strips": [[0, 10**30]]}],
             f"input document: field 'strips': {10**30} cells, capped at 1000000",
         ),
-        # the first refused size of each family, and one no build could hold
-        (
-            "period",
-            [{"family": "complete", "n": 2001}, P5_CONFIG],
-            "graph document: field 'n': complete on 2001 vertices has 2001000 edges, "
-            "capped at 2000000",
-        ),
-        (
-            "period",
-            [{"family": "cycle", "n": 2000001}, P5_CONFIG],
-            "graph document: field 'n': cycle on 2000001 vertices has 2000001 edges, "
-            "capped at 2000000",
-        ),
-        (
-            "period",
-            [{"family": "path", "n": 2000002}, P5_CONFIG],
-            "graph document: field 'n': path on 2000002 vertices has 2000001 edges, "
-            "capped at 2000000",
-        ),
-        (
-            "simulate",
-            [{"family": "star", "n": 10**12}, P5_CONFIG],
-            f"graph document: field 'n': star on {10**12} vertices has {10**12 - 1} edges, "
-            "capped at 2000000",
-        ),
     ],
 )
 def test_document_errors_name_their_document_once(
@@ -764,6 +742,44 @@ def test_document_errors_name_their_document_once(
     ]
     steps = ["--steps", "1"] if command == "simulate" else []
     assert invoke([command, *paths, *steps], capsys) == (2, "", f"error: {line}\n")
+
+
+# sizes once refused by an edge cap, and one no build could hold
+@pytest.mark.parametrize(
+    "family, n",
+    [("complete", 2001), ("cycle", 2 * 10**6 + 1), ("path", 2 * 10**6 + 2), ("star", 10**12)],
+    ids=["complete", "cycle", "path", "star"],
+)
+def test_a_family_document_is_checked_against_its_stacks_before_any_build(
+    tmp_path, monkeypatch, capsys, family, n
+):
+    def refuse(*args):
+        raise AssertionError("a graph was built")
+
+    for constructor in ("Graph", "complete", "cycle", "path", "star"):
+        monkeypatch.setattr(graphs, constructor, refuse)
+    g = write_doc(tmp_path, "g.json", {"family": family, "n": n})
+    c = write_doc(tmp_path, "c.json", P5_CONFIG)
+    line = f"configuration document: field 'stacks': expected {n} values for a graph on {n} vertices, got 5"
+    for argv in (["period", g, c], ["simulate", g, c, "--steps", "1"]):
+        assert invoke(argv, capsys) == (2, "", f"error: {line}\n")
+
+
+def test_period_on_k_100000_closes_on_a_reflected_pair(tmp_path, capsys):
+    # the paper's identity at scale: the two members of the cycle, sorted and
+    # normalized, are the images of a polyomino and of its reflection
+    n = 10**5
+    rng = random.Random(0)
+    g = write_doc(tmp_path, "g.json", {"family": "complete", "n": n})
+    c = write_doc(tmp_path, "c.json", {"stacks": [rng.randint(0, 10**6) for _ in range(n)]})
+    code, out, err = invoke(["period", g, c], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["preperiod"], report["period"]) == (6, 2)
+    a, b = (diffusion.normalize(sorted(config["stacks"])) for config in report["configs"])
+    x = bijection.config_to_poly(a)
+    assert x.cells == n
+    assert bijection.poly_to_config(polyomino.reflect(x)) == b
 
 
 # --- count --------------------------------------------------------------------------
@@ -876,10 +892,15 @@ def test_count_needs_exactly_one_target(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("mode, cap", [("brute", 8), ("enumerate", 15)], ids=["brute", "enumerate"])
+@pytest.mark.parametrize(
+    "mode, cap",
+    [("brute", 8), ("enumerate", 15), ("labelled", 1000)],
+    ids=["brute", "enumerate", "labelled"],
+)
 def test_count_cap(capsys, mode, cap):
-    # refused before any walk: the scans for n = 1..8 alone take seconds, and
-    # the enumeration at 15 cells alone about eight
+    # refused before any walk or table: the scans for n = 1..8 alone take
+    # seconds, the enumeration at 15 cells alone about eight, and the labelled
+    # table at 2000 about 25
     for flag in ("--n", "--upto"):
         started = time.perf_counter()
         code, out, err = invoke(["count", "--mode", mode, flag, str(cap + 1)], capsys)
@@ -996,6 +1017,59 @@ FLAG_FAULTS = [
 def test_flag_faults_exit_2(tmp_path, monkeypatch, capsys, argv, line):
     monkeypatch.chdir(tmp_path)
     assert invoke(argv, capsys) == (2, "", f"error: {line}\n")
+
+
+# --- each bound admits its own value ------------------------------------------------
+# where a run at the bound would take seconds, the work behind the check is stubbed
+
+
+def test_verify_takes_each_flag_at_its_cap(monkeypatch, capsys):
+    sizes = {}
+
+    def stub(check):
+        def run(n):
+            sizes[check] = n
+            return True, "stubbed"
+
+        return run
+
+    for check in ("verify_count_agreement", "verify_image", "verify_fire_reflect", "verify_labelled"):
+        monkeypatch.setattr(cli, check, stub(check))
+    caps = ["--max-unlabelled", "8", "--max-labelled", str(counting.LABELLED_CAP), "--max-reflect", "11"]
+    code, out, err = invoke(["verify", *caps], capsys)
+    assert (code, err) == (0, "")
+    assert sizes == {
+        "verify_count_agreement": len(counting.REFERENCE_COUNTS),
+        "verify_image": 8,
+        "verify_fire_reflect": 11,
+        "verify_labelled": counting.LABELLED_CAP,
+    }
+
+
+def test_enumerate_render_and_map_take_sizes_at_their_caps(tmp_path, monkeypatch, capsys):
+    assert invoke(["enumerate", "--n", "1"], capsys) == (0, '{"strips": [[0, 1]]}\n', "")
+    monkeypatch.setattr(cli, "_walked_count", lambda n: -n)
+    assert invoke(["enumerate", "--n", "15", "--count-only"], capsys) == (0, "-15\n", "")
+    monkeypatch.setattr(polyomino, "render_ascii", lambda x: "drawn")
+    x = write_doc(tmp_path, "x.json", {"strips": [[0, 10**7]]})
+    assert invoke(["render", x], capsys) == (0, "drawn\n", "")
+    monkeypatch.setattr(bijection, "poly_to_config", lambda x: (x.cells,))
+    x = write_doc(tmp_path, "x.json", {"strips": [[0, 10**6]]})
+    code, out, err = invoke(["map", x], capsys)
+    assert (code, json.loads(out), err) == (0, {"stacks": [10**6]}, "")
+
+
+def test_period_and_simulate_take_step_counts_at_their_bounds(tmp_path, monkeypatch, capsys):
+    g = write_doc(tmp_path, "g.json", P5_GRAPH)
+    c = write_doc(tmp_path, "c.json", {"stacks": [1] * 5})
+    code, out, err = invoke(["period", g, c, "--max-steps", "1"], capsys)
+    assert (code, json.loads(out)["period"], err) == (0, 1, "")
+    # the first rows of a trajectory of sys.maxsize steps
+    rows = []
+    monkeypatch.setattr(cli, "_emit", lambda chunks, out_path: rows.extend(islice(chunks, 3)))
+    argv = ["simulate", g, c, "--steps", str(sys.maxsize), "--format", "csv"]
+    assert invoke(argv, capsys) == (0, "", "")
+    assert rows == ["1,1,1,1,1", "\n1,1,1,1,1", "\n1,1,1,1,1"]
 
 
 def test_simulate_refuses_steps_past_maxsize_before_writing(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import random
 import sys
 import tracemalloc
+from collections import namedtuple
 from itertools import combinations
 
 import pytest
@@ -17,7 +18,6 @@ from boardpile.diffusion import (
     fire_complete,
     is_period_config,
     normalize,
-    orientation_of,
     run,
 )
 from boardpile.graphs import Graph, complete, path, star
@@ -219,6 +219,23 @@ def test_fire_blocks_is_the_rank_step_sorted(values):
 
 
 # --- orientation -----------------------------------------------------------
+
+Orientation = namedtuple("Orientation", ("arcs", "flat"))
+
+
+def orientation_of(g, stacks):
+    """Each edge of g directed from its richer endpoint to its poorer one:
+    (richer, poorer) arcs, and the canonical (u, v) of edges between equal
+    stacks as flat, both frozensets.  Chips flow one along each arc."""
+    arcs, flat = set(), set()
+    for u, v in g.edges:
+        if stacks[u] > stacks[v]:
+            arcs.add((u, v))
+        elif stacks[v] > stacks[u]:
+            arcs.add((v, u))
+        else:
+            flat.add((u, v))
+    return Orientation(frozenset(arcs), frozenset(flat))
 
 
 def test_orientation_path5():

@@ -138,15 +138,66 @@ def test_a_family_build_checks_no_entry(monkeypatch):
 
 
 def test_a_family_build_holds_little_beyond_its_graph():
-    for family, n in ((complete, 300), (path, 10**5)):
+    # K_n makes its edges on their first read, the other families as they are
+    # built: either way through nothing that outweighs the edges
+    builds = ((lambda: complete(300).edges, 300 * 299 // 2), (lambda: path(10**5), 10**5 - 1))
+    for make, m in builds:
         tracemalloc.start()
         try:
-            g = family(n)
+            made = make()
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert g.n == n
+        assert len(getattr(made, "edges", made)) == m
         assert peak <= 1.3 * retained
+
+
+# --- K_n by n alone -----------------------------------------------------------
+
+
+def test_complete_holds_n_alone_until_its_edges_are_read(monkeypatch):
+    def refuse(n, pairs):
+        raise AssertionError("edges made")
+
+    monkeypatch.setattr(graphs, "_shaped", refuse)
+    tracemalloc.start()
+    try:
+        g = complete(10**6)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n == 10**6
+    assert peak < 1024
+    assert repr(complete(10**5)) == "Graph(n=100000, m=4999950000)"
+    assert graphs._size(complete(10**5)) == 4999950000
+    with pytest.raises(AssertionError, match="edges made"):
+        complete(3).edges
+    with pytest.raises(AttributeError, match="'Graph' object has no attribute 'degree'"):
+        g.degree
+
+
+def test_complete_makes_its_edges_once_on_the_first_read(monkeypatch):
+    made = []
+    real = graphs._shaped
+    monkeypatch.setattr(graphs, "_shaped", lambda n, pairs: made.append(n) or real(n, pairs))
+    g = complete(50)
+    assert made == []
+    edges = g.edges
+    assert made == [50] and len(edges) == 50 * 49 // 2
+    assert g.edges is edges
+    assert made == [50]
+    assert len({id(x) for edge in edges for x in edge}) <= 50
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 300])
+def test_complete_equals_its_edge_list_hashed_and_pickled_alike(n):
+    listed = Graph(n, combinations(range(n), 2))
+    assert complete(n) == listed and listed == complete(n)
+    assert hash(complete(n)) == hash(listed)
+    assert complete(n) != complete(n + 1) and complete(n + 1) != complete(n)
+    for g in (complete(n), pickle.loads(pickle.dumps(complete(n)))):
+        assert fields(g) == fields(listed)
+        assert type(g) is Graph and repr(g) == repr(listed)
 
 
 def test_families_take_integer_like_counts_and_refuse_the_rest():
