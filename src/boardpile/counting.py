@@ -19,6 +19,7 @@ both counts.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from collections.abc import Callable, Iterable, Iterator
@@ -216,41 +217,29 @@ def _top_block_counts(n_max: int, labelled: bool) -> list[int]:
 # scan over values in [0, 2n] is exhaustive.  "Periodic" is decided purely
 # dynamically: firing twice must reproduce the input exactly.  The first
 # firing maps many candidates to few images (38,760 multisets at n = 7 to
-# 4,606), so _fired_twice_back() keeps a bounded memo from each first image
-# to its own image and fires a repeated image only once while it stays in
-# the memo.  Only these two oracles fire, so they alone import the engine,
-# and the exact counts load this module alone.
+# 4,606), so each scan fires an image through an LRU cache of its step and a
+# repeated image fires once while it stays cached.  Only these two oracles
+# fire, so they alone import the engine, and the exact counts load this
+# module alone.
 
 UNLABELLED_CAP = 8
 LABELLED_CAP = 5
 
-# Past this many first images the memo is emptied.  Over verify's default
-# scans (multisets n <= 7, labelled n <= 5) it cuts the 219,602 firings of a
-# memo-free scan to 158,736 at 512 entries and 149,918 at 1,024.  Unbounded
-# it fires 126,802 times but holds 9,950 images of K_5 and raised verify's
-# peak RSS from 16.6 to 19.1 MB.  The rise was 0.13 MB at 512 entries and
-# 0.25 MB at 1,024, for 2% less scan time (Python 3.11).
+# The cache's size, bounded for RSS.  Over verify's default scans (multisets
+# n <= 7, labelled n <= 5) it cuts the 219,602 firings of a cache-free scan
+# to 149,337 (141,005 at 1,024 entries), and brute_force_period_multisets(8)
+# fires 303,153 times instead of 490,314.  Unbounded, the cache fires
+# 126,802 times but holds 9,950 images of K_5 and takes verify's peak RSS
+# from 16.2 to 18.7 MB; at 512 entries it stays within 0.1 MB (Python 3.11).
 _SECOND_FIRINGS = 512
 
 
 def _fired_twice_back(
     first: Callable[[tuple[int, ...]], tuple[int, ...]], candidates: Iterable[tuple[int, ...]]
 ) -> Iterator[tuple[int, ...]]:
-    """Each candidate c with first(first(c)) == c, in order.
-
-    Every candidate is fired once; its image is fired again only if the
-    image is not in the memo, which is emptied once it holds _SECOND_FIRINGS.
-    """
-    second: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for c in candidates:
-        once = first(c)
-        twice = second.get(once)
-        if twice is None:
-            if len(second) >= _SECOND_FIRINGS:
-                second.clear()
-            twice = second[once] = first(once)
-        if twice == c:
-            yield c
+    """Each candidate c with first(first(c)) == c, in order; the second firing is cached."""
+    second = functools.lru_cache(maxsize=_SECOND_FIRINGS)(first)
+    return (c for c in candidates if second(first(c)) == c)
 
 
 def brute_force_period_multisets(n: int) -> list[tuple[int, ...]]:
@@ -281,5 +270,5 @@ def brute_force_labelled(n: int) -> int:
         raise ValueError(f"n={n} exceeds the brute-force cap {LABELLED_CAP}")
     g = complete(n)
     vectors = itertools.product(range(2 * n + 1), repeat=n)
-    periodic = _fired_twice_back(lambda vec: _fire_raw(g, vec), (vec for vec in vectors if 0 in vec))
-    return sum(1 for _ in periodic)
+    fire = functools.partial(_fire_raw, g)
+    return sum(1 for _ in _fired_twice_back(fire, (vec for vec in vectors if 0 in vec)))

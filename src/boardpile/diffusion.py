@@ -321,9 +321,10 @@ def run(g: Graph, start: Sequence[int], steps: int) -> list[Config]:
     Fires min(steps, preperiod + period) times.  Once C_t equals C_{t-1}
     (period 1) or C_{t-2} (period 2) the cycle has closed: C_t and every
     later entry are the cycle's own tuples repeated, one list slot per step.
-    Raises ValueError unless 0 <= steps <= sys.maxsize, and
-    PeriodNotOneOrTwo if the trajectory reaches a longer cycle.
+    Raises ValueError unless steps is an integer with 0 <= steps <= sys.maxsize,
+    and PeriodNotOneOrTwo if the trajectory reaches a longer cycle.
     """
+    steps = _integer(steps, "steps")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if steps > sys.maxsize:
@@ -340,6 +341,7 @@ def detect_period(g: Graph, start: Sequence[int], max_steps: int = DEFAULT_MAX_S
     if nothing repeats within max_steps firings, and PeriodNotOneOrTwo with
     its length if the trajectory reaches a longer cycle.
     """
+    max_steps = _integer(max_steps, "max_steps")
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     orbit = _orbit(g, _config_on(g, start))

@@ -1,16 +1,20 @@
+import contextlib
 import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
-from itertools import islice
+from itertools import islice, pairwise
 from operator import ne
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 import boardpile
 import boardpile.bijection as bijection
@@ -1179,3 +1183,226 @@ def test_a_process_parses_documents_under_its_own_digit_limit(tmp_path):
         out, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (0, b"")
     assert len(json.loads(out)["count"]) == 10118
+
+
+# --- the boundary, fuzzed -------------------------------------------------------------
+
+# Each example runs one subcommand through main() on drawn documents and flags,
+# either all well-formed or malformed anywhere.  Sizes are drawn well below what
+# takes a second under the fire audit (a brute-force scan of n = 8 takes 3.7 s
+# there, a default verify 1.1 s), so every example must finish within this budget.
+_FUZZ_BUDGET_S = 2.0
+
+
+class _Literal(str):
+    """JSON text written as it is, for what json.dumps cannot make."""
+
+
+# an integer literal one digit past the digit limit documents are parsed under
+_PAST_DIGIT_LIMIT = _Literal("1" + "0" * sys.get_int_max_str_digits())
+
+_JUNK = st.sampled_from(
+    [True, False, None, 2.5, -0.0, float("nan"), float("inf"), "3", "", [], {}, [[1, 2]],
+     _PAST_DIGIT_LIMIT]
+)
+_INTEGERS = st.one_of(st.integers(-3, 9), st.sampled_from([10**30, -(10**30)]))
+
+# documents that are no JSON object: not UTF-8, not JSON, nested past the
+# stack, or another JSON value
+_NOT_AN_OBJECT = st.sampled_from(
+    [b"", b"\xff\xfe", b"{", b"[]", b"3", b"null", b'"stacks"', b"[" * 100_000, b"{}x"]
+)
+
+# flag text that argparse refuses for an int
+_NOT_A_NUMBER = st.sampled_from(["2.5", "x", "", "0x3", str(_PAST_DIGIT_LIMIT)])
+
+
+def _json(value) -> str:
+    if isinstance(value, _Literal):
+        return value
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_json, value)) + "]"
+    return json.dumps(value)
+
+
+@st.composite
+def _valid_strips(draw):
+    """A polyomino's strips, bottom first, each touching the one below."""
+    lengths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    strips = [[0, lengths[0]]]
+    for below, length in pairwise(lengths):
+        strips.append([draw(st.integers(1, below + length - 1)), length])
+    return strips
+
+
+@st.composite
+def _spoilt_strips(draw):
+    """Valid strips with one offset or length out of range, or one strip past
+    render's and map's caps (or just below them)."""
+    strips = draw(_valid_strips())
+    k = draw(st.integers(0, len(strips) - 1))
+    spoil = draw(st.sampled_from(["offset", "length", "huge"]))
+    if spoil == "offset":
+        strips[k][0] = draw(st.sampled_from([0, -1, 11, 10**30]))
+    elif spoil == "length":
+        strips[k][1] = draw(st.sampled_from([0, -2]))
+    else:
+        strips = [[0, draw(st.sampled_from([10**4, 10**8, 10**30]))]]
+    return strips
+
+
+def _image():
+    """The stacks of a polyomino's image, which map turns back into its strips."""
+    return _valid_strips().map(
+        lambda strips: list(bijection.poly_to_config(polyomino.BoardPilePolyomino(strips)))
+    )
+
+
+@st.composite
+def _cli_runs(draw):
+    """(argv, {file name: bytes}, stdin bytes) for one run of one subcommand."""
+    command = draw(
+        st.sampled_from(["simulate", "period", "enumerate", "render", "map", "count", "verify"])
+    )
+    malformed = draw(st.booleans())
+    files, argv, stdin = {}, [command], []
+
+    def pick(good, *bad):
+        """A draw from good, or when malformed from good or any of bad."""
+        return draw(st.one_of(good, *bad) if malformed else good)
+
+    def document(name, fields):
+        """A path to an object of these fields (name: value), each given once
+        or twice, and malformed perhaps dropped, or no object at all; or stdin;
+        or, malformed, a missing file."""
+        if malformed and draw(st.integers(0, 9)) == 0:
+            files[name] = draw(_NOT_AN_OBJECT)
+        else:
+            members = []
+            for key, value in fields.items():
+                copies = pick(st.sampled_from([1, 1, 1, 2]), st.just(0))
+                members += [f"{json.dumps(key)}: {_json(value)}" for _ in range(copies)]
+            files[name] = ("{" + ", ".join(draw(st.permutations(members))) + "}").encode()
+        path = pick(st.sampled_from([name, name, "-"]), st.just("missing.json"))
+        if path == "-":
+            stdin.append(files[name])
+        return path
+
+    def size(flag, good, *bad):
+        """The flag and its text: a number drawn from good, or bad text when malformed."""
+        return [flag, pick(good.map(str), *(b.map(str) for b in bad), _NOT_A_NUMBER)]
+
+    out = pick(
+        st.sampled_from([[], ["--out", "out.txt"], ["--out", "-"]]),
+        st.just(["--out", "no/such/dir/out.txt"]),
+    )
+    if command in ("simulate", "period"):
+        n = draw(st.integers(0, 6))
+        ordered = [[u, v] for u in range(n) for v in range(n) if u != v]
+        pairs = st.lists(st.sampled_from(ordered), unique_by=frozenset) if n > 1 else st.just([])
+        endpoint = st.one_of(st.integers(0, max(n - 1, 0)), _INTEGERS, _JUNK)
+        bad_pair = st.lists(endpoint, max_size=3)
+        fields = pick(st.sampled_from([{"edges"}, {"family"}]), st.just({"family", "edges"}))
+        graph = {"n": pick(st.just(n), _INTEGERS, _JUNK)}
+        if "family" in fields:
+            graph["family"] = pick(st.sampled_from(cli._FAMILIES), st.text(max_size=4), _JUNK)
+        if "edges" in fields:
+            graph["edges"] = pick(pairs, st.lists(st.one_of(pairs, bad_pair)), _JUNK)
+        stacks = pick(
+            st.lists(_INTEGERS, min_size=n, max_size=n),
+            st.lists(_INTEGERS, max_size=8),
+            st.lists(st.one_of(_INTEGERS, _JUNK), min_size=1, max_size=8),
+            _JUNK,
+        )
+        argv += [document("graph.json", graph), document("config.json", {"stacks": stacks})]
+        if command == "simulate":
+            past = st.just(sys.maxsize + 1)
+            argv += size("--steps", st.integers(0, 40), st.integers(-2, -1), past)
+            argv += pick(
+                st.sampled_from([[], ["--format", "csv"], ["--format", "json"]]),
+                st.just(["--format", "xml"]),
+            )
+        elif draw(st.booleans()):
+            argv += size("--max-steps", st.integers(1, 300), st.integers(-1, 0))
+        argv += out
+    elif command == "enumerate":
+        mode = pick(
+            st.sampled_from([[], ["--json"], ["--ascii"], ["--count-only"]]),
+            st.just(["--json", "--ascii"]),
+        )
+        # only --count-only is capped: the streams grow with n
+        counted = mode == ["--count-only"]
+        largest, past = (10, cli._ENUMERATE_CAP + 1) if counted else (7, 0)
+        argv += size("--n", st.integers(1, largest), st.integers(-1, 0), st.just(past)) + mode
+    elif command == "render":
+        entries = st.lists(st.one_of(st.lists(_INTEGERS, max_size=3), _JUNK), max_size=4)
+        strips = pick(_valid_strips(), _spoilt_strips(), entries, _JUNK)
+        argv.append(document("strips.json", {"strips": strips}))
+    elif command == "map":
+        stacks = st.lists(st.integers(-3, 6), min_size=1, max_size=8)
+        fields = pick(
+            st.one_of(
+                st.fixed_dictionaries({"strips": _valid_strips()}),
+                st.fixed_dictionaries({"stacks": st.one_of(_image(), stacks)}),
+            ),
+            st.fixed_dictionaries({"strips": _spoilt_strips()}),
+            st.fixed_dictionaries({"strips": _valid_strips(), "stacks": _image()}),
+            st.fixed_dictionaries({"stacks": st.lists(st.one_of(_INTEGERS, _JUNK), max_size=8)}),
+            st.just({}),
+        )
+        argv.append(document("map.json", fields))
+        argv += pick(st.sampled_from([[], ["--check"]])) + out
+    elif command == "count":
+        modes = ["recurrence", "gf", "labelled", "enumerate", "brute"]
+        mode = pick(st.sampled_from(modes), st.just("x"))
+        largest = {"recurrence": 300, "gf": 300, "labelled": 60, "enumerate": 9, "brute": 6}
+        caps = [cli._LABELLED_TABLE_CAP + 1, cli._ENUMERATE_CAP + 1, counting.UNLABELLED_CAP + 1]
+        argv += ["--mode", mode]
+        flags = pick(
+            st.sampled_from([["--n"], ["--upto"]]), st.sampled_from([["--n", "--upto"], []])
+        )
+        good = st.integers(1, largest.get(mode, 3))
+        for flag in flags:
+            argv += size(flag, good, st.integers(-1, 0), st.sampled_from(caps))
+        argv += out
+    else:
+        for flag, largest, cap in (
+            ("--max-unlabelled", 5, counting.UNLABELLED_CAP),
+            ("--max-labelled", 4, counting.LABELLED_CAP),
+            ("--max-reflect", 8, cli._REFLECT_CAP),
+        ):
+            argv += size(flag, st.integers(1, largest), st.integers(-1, 0), st.just(cap + 1))
+    return argv, files, b"".join(stdin[:1])
+
+
+def _run_in(directory, argv, files, stdin):
+    """main(argv) with the files written into directory and their names made
+    paths there; its exit code, elapsed seconds and stderr."""
+    for name, data in files.items():
+        Path(directory, name).write_bytes(data)
+    argv = [str(Path(directory, a)) if a.endswith((".json", ".txt")) else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
+    with (
+        mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        code = main(argv)
+    return code, time.perf_counter() - started, err.getvalue()
+
+
+@settings(deadline=None, max_examples=300)
+@given(_cli_runs())
+@example((["map", "-"], {"map.json": b"[" * 100_000}, b"[" * 100_000))
+@example((["count", "--mode", "gf", "--n", str(_PAST_DIGIT_LIMIT)], {}, b""))
+def test_every_drawn_command_line_exits_0_1_or_2_in_time(run):
+    argv, files, stdin = run
+    with tempfile.TemporaryDirectory() as directory:
+        code, elapsed, err = _run_in(directory, argv, files, stdin)
+    event(f"{argv[0]} exits {code}")
+    assert code in (0, 1, 2), (code, err)
+    assert elapsed < _FUZZ_BUDGET_S, f"{argv} took {elapsed:.2f} s"
+    # a refusal says why on stderr
+    if code:
+        assert err.startswith(("error: ", "usage: ")), err

@@ -291,6 +291,17 @@ def test_run_negative_steps_rejected(fire_audit):
     assert fire_audit.calls == before
 
 
+def test_run_refuses_a_step_count_that_is_not_an_integer(fire_audit):
+    # named as every other refused input is, before the first firing; a bool
+    # is an integer, as it is for a stack
+    before = fire_audit.calls
+    for steps, shown in ((2.5, "2.5"), ("3", "'3'"), (None, "None")):
+        with pytest.raises(ValueError, match=f"^steps {shown} is not an integer$"):
+            run(path(3), (0, 1, 2), steps)
+    assert fire_audit.calls == before
+    assert run(P5, P5_START, True) == P5_TRAJECTORY[:2]
+
+
 def test_run_composes():
     whole = run(P5, P5_START, 6)
     first = run(P5, P5_START, 2)
@@ -470,6 +481,14 @@ def test_detect_period_surfaces_longer_cycles(monkeypatch):
 def test_detect_period_rejects_bad_budget():
     with pytest.raises(ValueError):
         detect_period(P5, P5_START, max_steps=0)
+
+
+def test_detect_period_refuses_a_budget_that_is_not_an_integer(fire_audit):
+    before = fire_audit.calls
+    for max_steps, shown in ((2.5, "2.5"), ("3", "'3'"), (None, "None")):
+        with pytest.raises(ValueError, match=f"^max_steps {shown} is not an integer$"):
+            detect_period(path(3), (0, 1, 2), max_steps)
+    assert fire_audit.calls == before
 
 
 def reference_detect_period(g, start, max_steps=DEFAULT_MAX_STEPS):
