@@ -5,9 +5,12 @@ trajectory ends in a cycle of length 1 or 2.  On complete graphs the states
 inside those cycles correspond one-to-one with board-pile polyominoes, which
 this package enumerates and counts exactly.
 
-Each exported name loads its module on first use, so a CLI run imports only
-the modules its subcommand runs.
+Each module, and each exported name, loads on its first use as an
+attribute of the package: the CLI reaches the library only this way, so a
+run imports only the modules its subcommand runs.
 """
+
+from operator import index as _index
 
 __version__ = "0.1.0"
 
@@ -74,3 +77,15 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
+
+
+def _integer(value, what: str, least: int | None = None) -> int:
+    """operator.index(value), or a ValueError that names `what` and the value,
+    or, given `least`, that says `what` must be at least that."""
+    try:
+        value = _index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be at least {least}")
+    return value

@@ -26,12 +26,11 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import chain
+from time import perf_counter
 
-# Each handler imports the library modules it runs, so a run loads only those.
-# These names serve the annotations alone.
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from . import graphs, polyomino
+# The library is reached as attributes of the package, each module loading on
+# its first use, so a run loads only the modules its subcommand runs.
+import boardpile as bp
 
 # verify's fire-reflect check walks every polyomino up to this many cells
 # (66,441 of them at 11, and about 3.2 times as many per cell beyond)
@@ -124,9 +123,7 @@ def _construct(name: str, make, *args):
         raise InputError(f"{name}: {exc}") from exc
 
 
-def _load_graph_and_stacks(args) -> tuple[graphs.Graph, tuple[int, ...]]:
-    from . import graphs
-
+def _load_graph_and_stacks(args) -> tuple[bp.graphs.Graph, tuple[int, ...]]:
     if args.graph == args.config == "-":
         raise InputError("only one document can come from stdin: give the other as a file")
     name = "graph document"
@@ -139,7 +136,7 @@ def _load_graph_and_stacks(args) -> tuple[graphs.Graph, tuple[int, ...]]:
     if type(n) is not int:
         raise InputError(f"{name}: field 'n': expected an integer")
     if "family" not in doc:
-        g = _construct(name, graphs.Graph, n, _integers(doc, name, "edges", "u, v"))
+        g = _construct(name, bp.graphs.Graph, n, _integers(doc, name, "edges", "u, v"))
         return g, _load_stacks(args.config, n)
     family = doc["family"]
     if not isinstance(family, str) or family not in _FAMILIES:
@@ -150,7 +147,7 @@ def _load_graph_and_stacks(args) -> tuple[graphs.Graph, tuple[int, ...]]:
     # a family document is about 30 bytes whatever n it names: its stacks,
     # read first, bound what the build costs
     stacks = _load_stacks(args.config, n)
-    return _construct(name, getattr(graphs, family), n), stacks
+    return _construct(name, getattr(bp.graphs, family), n), stacks
 
 
 def _load_stacks(path: str, n: int) -> tuple[int, ...]:
@@ -164,15 +161,13 @@ def _load_stacks(path: str, n: int) -> tuple[int, ...]:
     return tuple(stacks)
 
 
-def _polyomino(doc: dict) -> polyomino.BoardPilePolyomino:
-    from . import polyomino
-
+def _polyomino(doc: dict) -> bp.polyomino.BoardPilePolyomino:
     name = "polyomino document"
     strips = _integers(doc, name, "strips", "offset, length")
-    return _construct(name, polyomino.BoardPilePolyomino, strips)
+    return _construct(name, bp.polyomino.BoardPilePolyomino, strips)
 
 
-def _strips_doc(x: polyomino.BoardPilePolyomino) -> dict:
+def _strips_doc(x: bp.polyomino.BoardPilePolyomino) -> dict:
     # JSON writes the tuple of (d, length) tuples as [[d, length], ...]
     return {"strips": x.strips}
 
@@ -202,9 +197,7 @@ def _stacks_block(c: Sequence[int], indent: str) -> str:
 # --- subcommand handlers ---------------------------------------------------
 
 
-def _trajectory_text(g: graphs.Graph, stacks: tuple, steps: int, fmt: str) -> Iterator[str]:
-    from . import diffusion
-
+def _trajectory_text(g: bp.graphs.Graph, stacks: tuple, steps: int, fmt: str) -> Iterator[str]:
     # "json" is json.dumps(..., indent=2) of the {"stacks": ...} list, laid out
     # here because json's indented encoder is pure Python.  Each row is written
     # as it is fired; after the close the rows are the cycle's one or two
@@ -215,7 +208,7 @@ def _trajectory_text(g: graphs.Graph, stacks: tuple, steps: int, fmt: str) -> It
         head, sep, tail, row = "[\n", ",\n", "\n]\n", lambda c: _stacks_block(c, "  ")
     text = lru_cache(maxsize=2)(row)
     gap = head
-    for c in diffusion._trajectory(g, stacks, steps):
+    for c in bp.diffusion._trajectory(g, stacks, steps):
         yield gap + text(c)
         gap = sep
     yield tail
@@ -232,13 +225,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_period(args) -> int:
-    from . import diffusion
-
-    max_steps = diffusion.DEFAULT_MAX_STEPS if args.max_steps is None else args.max_steps
+    max_steps = bp.diffusion.DEFAULT_MAX_STEPS if args.max_steps is None else args.max_steps
     if max_steps < 1:
         raise InputError("--max-steps must be at least 1")
     g, stacks = _load_graph_and_stacks(args)
-    report = diffusion.detect_period(g, stacks, max_steps=max_steps)
+    report = bp.diffusion.detect_period(g, stacks, max_steps=max_steps)
     # json.dumps(..., indent=2) of {"preperiod", "period", "configs"}
     configs = ",\n".join(_stacks_block(c, "    ") for c in report.period_configs)
     text = (
@@ -250,8 +241,6 @@ def _cmd_period(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from . import polyomino
-
     if args.n < 1:
         raise InputError("--n must be at least 1")
     if args.count_only:
@@ -259,12 +248,12 @@ def _cmd_enumerate(args) -> int:
             raise InputError(f"--n for --count-only is capped at {_ENUMERATE_CAP}")
         sys.stdout.write(f"{_walked_count(args.n)}\n")
         return 0
-    stream = polyomino.enumerate_board_pile(args.n)
+    stream = bp.polyomino.enumerate_board_pile(args.n)
     if args.ascii:
         # each block goes out as it is drawn: a blank line between blocks
         separator = ""
         for x in stream:
-            sys.stdout.write(separator + polyomino.render_ascii(x))
+            sys.stdout.write(separator + bp.polyomino.render_ascii(x))
             separator = "\n\n"
         sys.stdout.write("\n")
     else:
@@ -274,22 +263,18 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    from . import polyomino
-
     x = _polyomino(_read_document(args.polyomino, "polyomino document"))
-    size = sum(start + length for start, length in polyomino.layout(x))
+    size = sum(start + length for start, length in bp.polyomino.layout(x))
     if size > _RENDER_CAP:
         raise InputError(
             f"polyomino document: field 'strips': the drawing would take {size} "
             f"characters, capped at {_RENDER_CAP}"
         )
-    sys.stdout.write(polyomino.render_ascii(x) + "\n")
+    sys.stdout.write(bp.polyomino.render_ascii(x) + "\n")
     return 0
 
 
 def _cmd_map(args) -> int:
-    from . import bijection, diffusion
-
     name = "input document"
     doc = _read_document(args.document, name)
     if "strips" in doc and "stacks" in doc:
@@ -298,17 +283,17 @@ def _cmd_map(args) -> int:
         x = _polyomino(doc)
         if x.cells > _MAP_CAP:
             raise InputError(f"{name}: field 'strips': {x.cells} cells, capped at {_MAP_CAP}")
-        out = {"stacks": list(bijection.poly_to_config(x))}
+        out = {"stacks": list(bp.bijection.poly_to_config(x))}
     elif "stacks" in doc:
         stacks = _integers(doc, name, "stacks")
         if not stacks:
             raise InputError(f"{name}: field 'stacks': expected a nonempty list of integers")
-        x = bijection.config_to_poly(diffusion.normalize(stacks))
+        x = bp.bijection.config_to_poly(bp.diffusion.normalize(stacks))
         out = _strips_doc(x)
     else:
         raise InputError(f"{name} needs either 'strips' or 'stacks'")
     if args.check:
-        out["fire_reflect"] = bijection.check_fire_reflect(x)
+        out["fire_reflect"] = bp.bijection.check_fire_reflect(x)
     _emit([json.dumps(out, indent=2) + "\n"], args.out)
     return 0 if out.get("fire_reflect", True) else 1
 
@@ -318,14 +303,12 @@ def _count_method(mode: str) -> tuple:
     or None.  The two walks, whose cost grows exponentially with n, are capped
     and build their table one size at a time; the others build a whole table
     anyway, and the labelled count, capped too, is its table's last row."""
-    from . import counting
-
     one, table, cap = {
-        "recurrence": (counting.recurrence_count, counting.recurrence_counts, None),
-        "gf": (counting.gf_coefficient, counting.gf_coefficients, None),
-        "labelled": (None, counting.labelled_period_counts, _LABELLED_TABLE_CAP),
+        "recurrence": (bp.counting.recurrence_count, bp.counting.recurrence_counts, None),
+        "gf": (bp.counting.gf_coefficient, bp.counting.gf_coefficients, None),
+        "labelled": (None, bp.counting.labelled_period_counts, _LABELLED_TABLE_CAP),
         "enumerate": (_walked_count, None, _ENUMERATE_CAP),
-        "brute": (_scanned_count, None, counting.UNLABELLED_CAP),
+        "brute": (_scanned_count, None, bp.counting.UNLABELLED_CAP),
     }[mode]
     return (
         one or (lambda n: table(n)[-1]),
@@ -335,15 +318,11 @@ def _count_method(mode: str) -> tuple:
 
 
 def _walked_count(n: int) -> int:
-    from . import polyomino
-
-    return sum(1 for _ in polyomino.enumerate_board_pile(n))
+    return sum(1 for _ in bp.polyomino.enumerate_board_pile(n))
 
 
 def _scanned_count(n: int) -> int:
-    from . import counting
-
-    return len(counting.brute_force_period_multisets(n))
+    return len(bp.counting.brute_force_period_multisets(n))
 
 
 def _cmd_count(args) -> int:
@@ -371,23 +350,19 @@ def _cmd_count(args) -> int:
 def verify_count_agreement(n_max: int) -> tuple[bool, str]:
     """Recurrence, series, top-block count and enumeration agree with the
     reference table for n=1..n_max."""
-    from . import counting
-
     # the tables count --upto prints, beside the DP that count does not offer
     rec, gf, enum = (_count_method(mode)[1](n_max) for mode in ("recurrence", "gf", "enumerate"))
-    blocks = counting._top_block_counts(n_max, labelled=False)
-    ok = rec == gf == blocks == enum and tuple(rec) == counting.REFERENCE_COUNTS[:n_max]
+    blocks = bp.counting._top_block_counts(n_max, labelled=False)
+    ok = rec == gf == blocks == enum and tuple(rec) == bp.counting.REFERENCE_COUNTS[:n_max]
     detail = f"n=1..{n_max}: " + ", ".join(str(v) for v in rec)
     return ok, detail
 
 
 def verify_image(n_max: int) -> tuple[bool, str]:
     """The strip images equal the fire-twice scan, as sets, for n=1..n_max."""
-    from . import bijection, counting, polyomino
-
     for n in range(1, n_max + 1):
-        oracle = set(counting.brute_force_period_multisets(n))
-        image = {bijection.poly_to_config(x) for x in polyomino.enumerate_board_pile(n)}
+        oracle = set(bp.counting.brute_force_period_multisets(n))
+        image = {bp.bijection.poly_to_config(x) for x in bp.polyomino.enumerate_board_pile(n)}
         if oracle != image:
             return False, f"mismatch at n={n}"
     return True, f"strip images match the fire-twice scan for n=1..{n_max}"
@@ -395,12 +370,10 @@ def verify_image(n_max: int) -> tuple[bool, str]:
 
 def verify_fire_reflect(cells_max: int) -> tuple[bool, str]:
     """Firing each image equals reflecting its polyomino, up to cells_max cells."""
-    from . import bijection, polyomino
-
     checked = 0
     for n in range(1, cells_max + 1):
-        for x in polyomino.enumerate_board_pile(n):
-            if not bijection.check_fire_reflect(x):
+        for x in bp.polyomino.enumerate_board_pile(n):
+            if not bp.bijection.check_fire_reflect(x):
                 return False, f"firing does not match reflection for {x.strips}"
             checked += 1
     return True, f"{checked} polyominoes with up to {cells_max} cells"
@@ -408,27 +381,21 @@ def verify_fire_reflect(cells_max: int) -> tuple[bool, str]:
 
 def verify_labelled(n_max: int) -> tuple[bool, str]:
     """The labelled transfer-matrix count equals the labelled scan for n=1..n_max."""
-    from . import counting
-
-    for n, formula in enumerate(counting.labelled_period_counts(n_max), start=1):
-        oracle = counting.brute_force_labelled(n)
+    for n, formula in enumerate(bp.counting.labelled_period_counts(n_max), start=1):
+        oracle = bp.counting.brute_force_labelled(n)
         if formula != oracle:
             return False, f"n={n}: formula {formula} vs scan {oracle}"
     return True, f"transfer-matrix count matches the labelled scan for n=1..{n_max}"
 
 
 def _cmd_verify(args) -> int:
-    from time import perf_counter
-
-    from . import counting
-
-    if not 1 <= args.max_unlabelled <= counting.UNLABELLED_CAP:
-        raise InputError(f"--max-unlabelled must be in 1..{counting.UNLABELLED_CAP}")
-    if not 1 <= args.max_labelled <= counting.LABELLED_CAP:
-        raise InputError(f"--max-labelled must be in 1..{counting.LABELLED_CAP}")
+    if not 1 <= args.max_unlabelled <= bp.counting.UNLABELLED_CAP:
+        raise InputError(f"--max-unlabelled must be in 1..{bp.counting.UNLABELLED_CAP}")
+    if not 1 <= args.max_labelled <= bp.counting.LABELLED_CAP:
+        raise InputError(f"--max-labelled must be in 1..{bp.counting.LABELLED_CAP}")
     if not 1 <= args.max_reflect <= _REFLECT_CAP:
         raise InputError(f"--max-reflect must be in 1..{_REFLECT_CAP}")
-    reference_n = len(counting.REFERENCE_COUNTS)
+    reference_n = len(bp.counting.REFERENCE_COUNTS)
     checks = [
         ("count-triple-agreement", lambda: verify_count_agreement(reference_n)),
         ("bijection-image", lambda: verify_image(args.max_unlabelled)),

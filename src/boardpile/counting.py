@@ -24,6 +24,10 @@ import itertools
 import math
 from collections.abc import Callable, Iterable, Iterator
 
+import boardpile as bp
+
+from . import _integer
+
 _SEEDS = (1, 2, 6, 19)
 
 # a(1)..a(11), the table every cross-check of the counts is held against
@@ -32,8 +36,7 @@ REFERENCE_COUNTS = (1, 2, 6, 19, 61, 196, 629, 2017, 6466, 20727, 66441)
 
 def recurrence_counts(n_max: int) -> list[int]:
     """a(1)..a(n_max) by the three-term recurrence, exact integers."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    n_max = _integer(n_max, "n_max", 1)
     counts = list(_SEEDS[:n_max])
     while len(counts) < n_max:
         counts.append(5 * counts[-1] - 7 * counts[-2] + 4 * counts[-3])
@@ -47,8 +50,7 @@ def gf_coefficients(n_max: int) -> list[int]:
     term 1, so each coefficient is the numerator coefficient plus an integer
     combination of the previous three.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    n_max = _integer(n_max, "n_max", 1)
     numerator = {1: 1, 2: -3, 3: 3, 4: -1}  # x(1-x)^3 expanded
     series = [0] * (n_max + 1)
     for k in range(1, n_max + 1):
@@ -68,8 +70,7 @@ def recurrence_count(n: int) -> int:
     applied to (a(k), a(k-1), a(k-2)), so its (n-4)-th power takes the seeds
     (19, 6, 2) to a(n).  Repeated squaring needs O(log n) matrix products.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _integer(n, "n", 1)
     if n <= 4:
         return _SEEDS[n - 1]
     step = ((5, -7, 4), (1, 0, 0), (0, 1, 0))
@@ -95,8 +96,7 @@ def gf_coefficient(n: int) -> int:
     denominator's even terms, both as series in x^2, leaves the same question
     for n // 2.  Q(0) stays 1, so after O(log n) steps the answer is P(0).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _integer(n, "n", 1)
     numerator = [0, 1, -3, 3, -1]  # x(1-x)^3 expanded
     denominator = [1, -5, 7, -4]
     while True:
@@ -183,9 +183,7 @@ def labelled_period_counts(n_max: int) -> list[int]:
     B[r] = sum_t (t - 1) * h[r][t].  Only A and B are kept, so the table costs
     O(n_max^2) exact big-integer operations.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    return _top_block_counts(n_max, labelled=True)
+    return _top_block_counts(_integer(n_max, "n_max", 1), labelled=True)
 
 
 def _top_block_counts(n_max: int, labelled: bool) -> list[int]:
@@ -219,8 +217,9 @@ def _top_block_counts(n_max: int, labelled: bool) -> list[int]:
 # firing maps many candidates to few images (38,760 multisets at n = 7 to
 # 4,606), so each scan fires an image through an LRU cache of its step and a
 # repeated image fires once while it stays cached.  Only these two oracles
-# fire, so they alone import the engine, and the exact counts load this
-# module alone.
+# fire: they look the engine's steps up as attributes of the package when
+# they run, which loads the engine then, so the exact counts load this module
+# alone and a step replaced in diffusion is the step they call.
 
 UNLABELLED_CAP = 8
 LABELLED_CAP = 5
@@ -244,15 +243,12 @@ def _fired_twice_back(
 
 def brute_force_period_multisets(n: int) -> list[tuple[int, ...]]:
     """All sorted periodic multisets on n vertices with minimum 0."""
-    from .diffusion import _fire_blocks
-
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _integer(n, "n", 1)
     if n > UNLABELLED_CAP:
         raise ValueError(f"n={n} exceeds the brute-force cap {UNLABELLED_CAP}")
     tails = itertools.combinations_with_replacement(range(2 * n + 1), n - 1)
     # each candidate is sorted, and so is each image, so both fire as they are
-    return list(_fired_twice_back(_fire_blocks, ((0,) + tail for tail in tails)))
+    return list(_fired_twice_back(bp.diffusion._fire_blocks, ((0,) + tail for tail in tails)))
 
 
 def brute_force_labelled(n: int) -> int:
@@ -261,14 +257,9 @@ def brute_force_labelled(n: int) -> int:
     Scans every vector in [0, 2n]^n with minimum 0 and keeps those that the
     generic engine maps back to themselves after two firings.
     """
-    from .diffusion import _fire_raw
-    from .graphs import complete
-
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _integer(n, "n", 1)
     if n > LABELLED_CAP:
         raise ValueError(f"n={n} exceeds the brute-force cap {LABELLED_CAP}")
-    g = complete(n)
     vectors = itertools.product(range(2 * n + 1), repeat=n)
-    fire = functools.partial(_fire_raw, g)
+    fire = functools.partial(bp.diffusion._fire_raw, bp.graphs.complete(n))
     return sum(1 for _ in _fired_twice_back(fire, (vec for vec in vectors if 0 in vec)))

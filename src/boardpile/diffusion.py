@@ -41,7 +41,8 @@ from functools import partial
 from itertools import compress, count, cycle, islice
 from operator import add, and_, index, ne, sub
 
-from .graphs import Graph, _integer, _size
+from . import _integer
+from .graphs import Graph, _size
 
 Config = tuple[int, ...]
 
@@ -341,9 +342,7 @@ def detect_period(g: Graph, start: Sequence[int], max_steps: int = DEFAULT_MAX_S
     if nothing repeats within max_steps firings, and PeriodNotOneOrTwo with
     its length if the trajectory reaches a longer cycle.
     """
-    max_steps = _integer(max_steps, "max_steps")
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
+    max_steps = _integer(max_steps, "max_steps", 1)
     orbit = _orbit(g, _config_on(g, start))
     last = deque(maxlen=3)  # C_{t-2}, C_{t-1}, C_t
     # taking C_t costs the t-th firing; the one that closes the cycle stops it

@@ -6,6 +6,8 @@ from collections.abc import Callable, Iterable, Sequence
 from itertools import chain, combinations, islice, pairwise, repeat
 from operator import eq, index
 
+from . import _integer
+
 Edge = tuple[int, int]
 
 
@@ -92,14 +94,6 @@ def _size(g: Graph) -> int:
         return len(object.__getattribute__(g, "edges"))
     except AttributeError:
         return g.n * (g.n - 1) // 2
-
-
-def _integer(value, what: str) -> int:
-    """operator.index(value), or a ValueError that names `what` and the value."""
-    try:
-        return index(value)
-    except TypeError:
-        raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
 def _checked_keys(n: int, entries: Iterable) -> list[int]:

@@ -17,6 +17,8 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from operator import index
 
+from . import _integer
+
 Strip = tuple[int, int]
 
 
@@ -110,8 +112,7 @@ def enumerate_board_pile(n: int) -> Iterator[BoardPilePolyomino]:
     Every offset lies in its valid range by construction, so the objects are
     built without the constructor's check.
     """
-    if n < 1:
-        raise ValueError("cell count must be at least 1")
+    n = _integer(n, "cell count", 1)
     for lengths in compositions(n):
         bottom = ((0, lengths[0]),)
         above = lengths[1:]

@@ -179,6 +179,27 @@ def test_result_values_are_tuples():
     assert hash(x) == hash((x.strips,))
 
 
+SIZED = [
+    (boardpile.enumerate_board_pile, "cell count"),
+    (boardpile.recurrence_counts, "n_max"),
+    (boardpile.recurrence_count, "n"),
+    (boardpile.gf_coefficients, "n_max"),
+    (boardpile.gf_coefficient, "n"),
+    (boardpile.labelled_period_counts, "n_max"),
+    (boardpile.brute_force_period_multisets, "n"),
+    (boardpile.brute_force_labelled, "n"),
+]
+
+
+@pytest.mark.parametrize("size", [2.5, "3", 4.0])
+@pytest.mark.parametrize("function, what", SIZED, ids=[f.__name__ for f, _ in SIZED])
+def test_sizes_that_are_not_integers_are_refused_by_name(function, what, size):
+    with pytest.raises(ValueError) as refused:
+        # list() draws from the generator, which checks its size on the first draw
+        list(function(size))
+    assert str(refused.value) == f"{what} {size!r} is not an integer"
+
+
 def test_cli_import_loads_neither_dataclasses_nor_typing():
     # each of these costs the CLI's cold start milliseconds on every run
     probe = "import sys, boardpile.cli; print(*sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))"
