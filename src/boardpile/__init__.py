@@ -89,3 +89,13 @@ def _integer(value, what: str, least: int | None = None) -> int:
     if least is not None and value < least:
         raise ValueError(f"{what} must be at least {least}")
     return value
+
+
+def _integer_tuple(values, what: str) -> tuple[int, ...]:
+    """The values as a tuple of ints, or _integer's ValueError for the first
+    that is not one; held first, so a one-shot iterable can still name it."""
+    values = tuple(values)
+    try:
+        return tuple(map(_index, values))
+    except TypeError:
+        return tuple(_integer(value, what) for value in values)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import groupby
 
-from . import diffusion
+from . import _integer_tuple, diffusion
 from .polyomino import BoardPilePolyomino, reflect
 
 
@@ -51,12 +51,12 @@ def config_to_poly(multiset: Iterable[int]) -> BoardPilePolyomino:
     NotAPeriodConfiguration when two firings do not reproduce the multiset,
     since only periodic multisets have preimages.
     """
-    ms = tuple(sorted(multiset))
+    ms = tuple(sorted(_integer_tuple(multiset, "stack")))
     if not ms:
         raise ValueError("empty multiset")
     if ms[0] != 0:
         raise NotNormalized(f"smallest stack value is {ms[0]}, expected 0")
-    if diffusion.fire_complete(diffusion.fire_complete(ms)) != ms:
+    if diffusion._fire_blocks(diffusion._fire_blocks(ms)) != ms:
         raise NotAPeriodConfiguration(f"multiset {ms} is not inside its own cycle")
     strips = []
     below = 0

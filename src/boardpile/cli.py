@@ -167,11 +167,6 @@ def _polyomino(doc: dict) -> bp.polyomino.BoardPilePolyomino:
     return _construct(name, bp.polyomino.BoardPilePolyomino, strips)
 
 
-def _strips_doc(x: bp.polyomino.BoardPilePolyomino) -> dict:
-    # JSON writes the tuple of (d, length) tuples as [[d, length], ...]
-    return {"strips": x.strips}
-
-
 def _emit(chunks: Iterable[str], out_path: str | None) -> None:
     """Write the chunks in order, each as soon as it is made."""
     if out_path and out_path != "-":
@@ -258,7 +253,7 @@ def _cmd_enumerate(args) -> int:
         sys.stdout.write("\n")
     else:
         for x in stream:
-            sys.stdout.write(json.dumps(_strips_doc(x)) + "\n")
+            sys.stdout.write(json.dumps({"strips": x.strips}) + "\n")
     return 0
 
 
@@ -289,7 +284,7 @@ def _cmd_map(args) -> int:
         if not stacks:
             raise InputError(f"{name}: field 'stacks': expected a nonempty list of integers")
         x = bp.bijection.config_to_poly(bp.diffusion.normalize(stacks))
-        out = _strips_doc(x)
+        out = {"strips": x.strips}
     else:
         raise InputError(f"{name} needs either 'strips' or 'stacks'")
     if args.check:

@@ -52,15 +52,10 @@ def gf_coefficients(n_max: int) -> list[int]:
     """
     n_max = _integer(n_max, "n_max", 1)
     numerator = {1: 1, 2: -3, 3: 3, 4: -1}  # x(1-x)^3 expanded
-    series = [0] * (n_max + 1)
+    series = [0, 0, 0]  # x^-2, x^-1 and x^0
     for k in range(1, n_max + 1):
-        c = numerator.get(k, 0) + 5 * series[k - 1]
-        if k >= 2:
-            c -= 7 * series[k - 2]
-        if k >= 3:
-            c += 4 * series[k - 3]
-        series[k] = c
-    return series[1:]
+        series.append(numerator.get(k, 0) + 5 * series[-1] - 7 * series[-2] + 4 * series[-3])
+    return series[3:]
 
 
 def recurrence_count(n: int) -> int:
@@ -156,11 +151,18 @@ def asymptotic_constant() -> float:
     return _closed_form_coefficient(characteristic_roots()[0])
 
 
-def asymptotic_estimate(k: int) -> float:
-    """Leading-term approximation of a(k); relative error < 1% for k >= 8."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return asymptotic_constant() * characteristic_roots()[0] ** k
+def asymptotic_estimate(k: float) -> float:
+    """Leading-term approximation of a(k), real k >= 1; relative error < 1% for k >= 8."""
+    try:
+        real = 1 <= k < math.inf  # False for NaN, a TypeError for what is no number
+    except TypeError:
+        real = False
+    if not real:
+        raise ValueError(f"k must be a real number at least 1, got {k!r}")
+    try:
+        return asymptotic_constant() * characteristic_roots()[0] ** float(k)
+    except OverflowError:
+        raise ValueError(f"k {k!r}: the estimate is past the float range") from None
 
 
 # --- labelled counting -----------------------------------------------------

@@ -39,9 +39,9 @@ from collections import deque, namedtuple
 from collections.abc import Generator, Iterable, Iterator, Sequence
 from functools import partial
 from itertools import compress, count, cycle, islice
-from operator import add, and_, index, ne, sub
+from operator import add, and_, ne, sub
 
-from . import _integer
+from . import _integer, _integer_tuple
 from .graphs import Graph, _size
 
 Config = tuple[int, ...]
@@ -209,19 +209,8 @@ def _fire_delta(
     return tuple(out)
 
 
-def _stacks(values: Iterable[int]) -> Config:
-    # held, so that a one-shot iterable can still name its bad value
-    values = tuple(values)
-    try:
-        return tuple(map(index, values))
-    except TypeError:
-        for value in values:
-            _integer(value, "stack")
-        raise
-
-
 def _config_on(g: Graph, stacks: Sequence[int]) -> Config:
-    c = _stacks(stacks)
+    c = _integer_tuple(stacks, "stack")
     if len(c) != g.n:
         raise ValueError(f"configuration has {len(c)} stacks for a graph on {g.n} vertices")
     return c
@@ -247,7 +236,7 @@ def fire_complete(multiset: Iterable[int]) -> Config:
     fire() on K_n for any labelling of the input.  Sorts the input, then moves
     each block of equal stacks at once, O(n log n).
     """
-    values = _stacks(multiset)
+    values = _integer_tuple(multiset, "stack")
     if not values:
         raise ValueError("empty multiset")
     return _fire_blocks(sorted(values))
@@ -365,7 +354,7 @@ def detect_period(g: Graph, start: Sequence[int], max_steps: int = DEFAULT_MAX_S
 
 def normalize(stacks: Sequence[int]) -> Config:
     """Shift all stacks so the minimum becomes 0."""
-    c = _stacks(stacks)
+    c = _integer_tuple(stacks, "stack")
     if not c:
         raise ValueError("empty configuration")
     lo = min(c)

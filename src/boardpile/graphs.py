@@ -23,7 +23,8 @@ class Graph:
     The family constructors build the same layout in O(m), with no check,
     sort or decode: they make the edges in ascending order from one int per
     vertex.  complete(n) holds n alone, O(1), and makes its C(n, 2) edges on
-    the first read of `edges`, which no rank step needs.
+    the first read of `edges`, which no rank step needs; equality, hashing
+    and pickling never read them.
     """
 
     __slots__ = ("n", "edges")
@@ -74,15 +75,18 @@ class Graph:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
+        if self.n and _is_complete(self):
+            return complete, (self.n,)
         return Graph, (self.n, self.edges)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        same_size = self.n == other.n and _size(self) == _size(other)
+        return same_size and (_is_complete(self) or self.edges == other.edges)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, None if _is_complete(self) else self.edges))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={_size(self)})"
@@ -94,6 +98,11 @@ def _size(g: Graph) -> int:
         return len(object.__getattribute__(g, "edges"))
     except AttributeError:
         return g.n * (g.n - 1) // 2
+
+
+def _is_complete(g: Graph) -> bool:
+    """Whether g is K_n, as any simple graph with C(n, 2) edges is."""
+    return _size(g) == g.n * (g.n - 1) // 2
 
 
 def _checked_keys(n: int, entries: Iterable) -> list[int]:
@@ -108,9 +117,7 @@ def _checked_keys(n: int, entries: Iterable) -> list[int]:
         try:
             u, v = index(u), index(v)
         except TypeError:
-            for endpoint in (u, v):
-                _integer(endpoint, f"edge entry {pair!r}: endpoint")
-            raise
+            u, v = (_integer(w, f"edge entry {pair!r}: endpoint") for w in (u, v))
         if not (-1 < u < n and -1 < v < n and u != v):
             for endpoint in (u, v):
                 if not 0 <= endpoint < n:

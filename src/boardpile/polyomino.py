@@ -6,8 +6,8 @@ number of cells in the strip, and d is the distance from the left end of the
 strip below to the right end of this strip (measured on grid lines).  The
 bottom strip carries d = 0 by convention.  Two stacked strips share at least
 one cell edge exactly when 1 <= d <= length_below + length - 1, which is the
-validity test.  The public constructor applies it; enumerate_board_pile()
-and reflect() build strips that satisfy it by construction and skip it.
+validity test.  The public constructor applies it, naming the first bad
+strip; enumerate_board_pile() and reflect() build valid strips and skip it.
 """
 
 from __future__ import annotations
@@ -26,34 +26,35 @@ class InvalidPolyomino(ValueError):
     """Strip list does not describe a board-pile polyomino."""
 
 
-def _integer_strips(strips: Iterable[Strip]) -> tuple[Strip, ...]:
-    # held, so that a one-shot iterable can still name its bad value
-    strips = tuple(strips)
-    try:
-        return tuple((index(d), index(length)) for d, length in strips)
-    except TypeError:
-        for i, (d, length) in enumerate(strips):
-            for what, value in (("offset", d), ("length", length)):
-                try:
-                    index(value)
-                except TypeError:
-                    raise InvalidPolyomino(f"strips[{i}]: {what} {value!r} is not an integer") from None
-        raise
-
-
-def _check_strips(strips: tuple[Strip, ...]) -> None:
-    if not strips:
-        raise InvalidPolyomino("strip list is empty")
-    for i, (_, length) in enumerate(strips):
+def _checked_strips(strips: Iterable[Strip]) -> tuple[Strip, ...]:
+    """The strips as pairs of ints, or InvalidPolyomino for the first bad one."""
+    checked = []
+    below = 0  # the length of the strip below, 0 under the bottom strip
+    for i, strip in enumerate(strips):
+        try:
+            d, length = strip
+        except (TypeError, ValueError):
+            raise InvalidPolyomino(f"strips[{i}]: {strip!r} is not an (offset, length) pair") from None
+        try:
+            d, length = index(d), index(length)
+        except TypeError:
+            try:
+                d, length = _integer(d, f"strips[{i}]: offset"), _integer(length, f"strips[{i}]: length")
+            except ValueError as named:
+                raise InvalidPolyomino(str(named)) from None
         if length < 1:
             raise InvalidPolyomino(f"strips[{i}]: length {length} must be positive")
-    if strips[0][0] != 0:
-        raise InvalidPolyomino(f"strips[0]: offset {strips[0][0]} must be 0")
-    for i in range(1, len(strips)):
-        d = strips[i][0]
-        high = strips[i - 1][1] + strips[i][1] - 1
-        if not 1 <= d <= high:
-            raise InvalidPolyomino(f"strips[{i}]: offset {d} outside 1..{high}")
+        if below:
+            high = below + length - 1
+            if not 1 <= d <= high:
+                raise InvalidPolyomino(f"strips[{i}]: offset {d} outside 1..{high}")
+        elif d:
+            raise InvalidPolyomino(f"strips[0]: offset {d} must be 0")
+        checked.append((d, length))
+        below = length
+    if not checked:
+        raise InvalidPolyomino("strip list is empty")
+    return tuple(checked)
 
 
 class BoardPilePolyomino(namedtuple("BoardPilePolyomino", ("strips",))):
@@ -68,9 +69,7 @@ class BoardPilePolyomino(namedtuple("BoardPilePolyomino", ("strips",))):
     __slots__ = ()
 
     def __new__(cls, strips: Iterable[Strip]):
-        strips = _integer_strips(strips)
-        _check_strips(strips)
-        return tuple.__new__(cls, (strips,))
+        return tuple.__new__(cls, (_checked_strips(strips),))
 
     @classmethod
     def _make(cls, iterable):
@@ -127,10 +126,7 @@ def layout(x: BoardPilePolyomino) -> tuple[tuple[int, int], ...]:
     Positions are translated so the smallest x_start is 0.  The offsets can
     be read back off as d_i = x_start_i + length_i - x_start_{i-1}.
     """
-    starts = [0]
-    for i in range(1, len(x.strips)):
-        d, length = x.strips[i]
-        starts.append(starts[i - 1] + d - length)
+    starts = list(itertools.accumulate((d - length for d, length in x.strips[1:]), initial=0))
     shift = min(starts)
     return tuple(
         (start - shift, length) for start, (_, length) in zip(starts, x.strips)

@@ -10,9 +10,10 @@ import tokenize
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import boardpile
-from boardpile import BoardPilePolyomino, Graph, InvalidPolyomino, PeriodReport
+from boardpile import BoardPilePolyomino, Graph, InvalidPolyomino, NoRepeatWithinBudget, PeriodReport
 from boardpile.polyomino import _trusted
 
 # names the package exported once and no longer does
@@ -198,6 +199,57 @@ def test_sizes_that_are_not_integers_are_refused_by_name(function, what, size):
         # list() draws from the generator, which checks its size on the first draw
         list(function(size))
     assert str(refused.value) == f"{what} {size!r} is not an integer"
+
+
+# what a caller may pass where an integer belongs: apart from the bools,
+# none of it is one
+_JUNK = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=2),
+    st.none(),
+    st.tuples(st.integers(0, 3)),
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    st.lists(st.lists(st.integers(0, 3), max_size=2), max_size=2),
+)
+_VALUES = st.one_of(st.integers(-3, 6), _JUNK)
+_GRAPHS = [Graph(0), boardpile.path(3), boardpile.cycle(4), boardpile.complete(8)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    stacks=st.one_of(st.lists(st.integers(-3, 6), max_size=8), st.lists(_VALUES, max_size=8)),
+    entries=st.lists(st.one_of(st.tuples(_VALUES, _VALUES), _VALUES), max_size=4),
+    size=_VALUES,
+    g=st.sampled_from(_GRAPHS),
+    given_as=st.sampled_from([list, tuple, iter]),
+)
+@example(stacks=[0, "a"], entries=[5], size="3", g=_GRAPHS[0], given_as=list)
+@example(stacks=[0, None], entries=[None], size=None, g=_GRAPHS[0], given_as=list)
+@example(stacks=[], entries=[(0, 1, 2)], size=float("nan"), g=_GRAPHS[0], given_as=list)
+@example(stacks=[], entries=[(0,)], size=float("inf"), g=_GRAPHS[0], given_as=list)
+@example(stacks=[], entries="ab", size=610, g=_GRAPHS[0], given_as=list)
+@example(stacks=[], entries=[], size=10**6, g=_GRAPHS[0], given_as=list)
+@example(stacks=[], entries=[], size=1e6, g=_GRAPHS[0], given_as=list)
+def test_library_calls_return_or_refuse_with_a_value_error(stacks, entries, size, g, given_as):
+    # each data argument is made afresh for its call, as a list, a tuple or a
+    # one-shot iterator; a step budget too small is the one other refusal
+    calls = [
+        (lambda: BoardPilePolyomino(given_as(entries)), InvalidPolyomino),
+        (lambda: Graph(size, given_as(entries)), ValueError),
+        (lambda: boardpile.fire(g, given_as(stacks)), ValueError),
+        (lambda: boardpile.fire_complete(given_as(stacks)), ValueError),
+        (lambda: boardpile.normalize(given_as(stacks)), ValueError),
+        (lambda: boardpile.run(g, given_as(stacks), size), ValueError),
+        (lambda: boardpile.detect_period(g, given_as(stacks), size), (ValueError, NoRepeatWithinBudget)),
+        (lambda: boardpile.config_to_poly(given_as(stacks)), ValueError),
+        (lambda: boardpile.asymptotic_estimate(size), ValueError),
+    ]
+    for call, refusal in calls:
+        try:
+            call()
+        except refusal:
+            pass
 
 
 def test_cli_import_loads_neither_dataclasses_nor_typing():

@@ -1,6 +1,7 @@
 import pytest
 
 import boardpile.bijection as bijection
+import boardpile.diffusion as diffusion
 from boardpile.bijection import (
     NotAPeriodConfiguration,
     NotNormalized,
@@ -70,6 +71,25 @@ def test_config_to_poly_rejects_transient_config():
     # (0, 2) on two vertices drains to (1, 1), never returning
     with pytest.raises(NotAPeriodConfiguration):
         config_to_poly((0, 2))
+
+
+def test_config_to_poly_refuses_what_is_not_an_integer_before_sorting():
+    for stacks, shown in (([0, "a"], "'a'"), ([0, None], "None"), ([0, 0.5], "0.5")):
+        with pytest.raises(ValueError) as refused:
+            config_to_poly(stacks)
+        assert str(refused.value) == f"stack {shown} is not an integer"
+    assert config_to_poly(iter([True, False, 1])) == BoardPilePolyomino(((0, 1), (1, 2)))
+
+
+def test_config_to_poly_fires_the_sorted_stacks_as_blocks(monkeypatch):
+    # its input is checked and sorted once: the two firings are bare block
+    # steps, not fire_complete(), which would check and sort again
+    fired = []
+    block_step = diffusion._fire_blocks
+    monkeypatch.setattr(diffusion, "fire_complete", None)
+    monkeypatch.setattr(diffusion, "_fire_blocks", lambda ms: fired.append(ms) or block_step(ms))
+    assert config_to_poly([2, 0, 0]).strips == ((0, 2), (2, 1))
+    assert fired == [(0, 0, 2), (0, 1, 1)]
 
 
 # --- round trips and image ----------------------------------------------------

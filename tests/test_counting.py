@@ -1,6 +1,8 @@
 import itertools
 import math
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -191,6 +193,34 @@ def test_asymptotic_estimate_close_to_exact():
 def test_asymptotic_estimate_rejects_zero():
     with pytest.raises(ValueError):
         asymptotic_estimate(0)
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [
+        ("3", "k must be a real number at least 1, got '3'"),
+        (None, "k must be a real number at least 1, got None"),
+        (float("nan"), "k must be a real number at least 1, got nan"),
+        (float("inf"), "k must be a real number at least 1, got inf"),
+        (0.5, "k must be a real number at least 1, got 0.5"),
+        (610, "k 610: the estimate is past the float range"),
+        (10**6, "k 1000000: the estimate is past the float range"),
+        (1e6, "k 1000000.0: the estimate is past the float range"),
+    ],
+)
+def test_asymptotic_estimate_refuses_k_by_name(k, message):
+    with pytest.raises(ValueError) as refused:
+        asymptotic_estimate(k)
+    assert str(refused.value) == message
+
+
+def test_asymptotic_estimate_takes_a_real_k_up_to_the_float_range():
+    # r^609 is the last power of the root below the largest float
+    assert 2.2e307 < asymptotic_estimate(609) < 2.3e307
+    assert asymptotic_estimate(True) == asymptotic_estimate(1)
+    assert asymptotic_estimate(2) < asymptotic_estimate(2.5) < asymptotic_estimate(3)
+    assert asymptotic_estimate(Fraction(5, 2)) == asymptotic_estimate(2.5)
+    assert asymptotic_estimate(Decimal(7)) == asymptotic_estimate(7)
 
 
 def test_asymptotic_estimate_takes_one():

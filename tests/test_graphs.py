@@ -200,6 +200,24 @@ def test_complete_equals_its_edge_list_hashed_and_pickled_alike(n):
         assert type(g) is Graph and repr(g) == repr(listed)
 
 
+def test_complete_compares_hashes_and_pickles_by_n_alone(monkeypatch):
+    # K_0 is no family member, and K_1 has no edge to make
+    for n in (0, 1):
+        copied = pickle.loads(pickle.dumps(Graph(n)))
+        assert copied == Graph(n) and copied.edges == ()
+
+    def refuse(n, pairs):
+        raise AssertionError("edges made")
+
+    monkeypatch.setattr(graphs, "_shaped", refuse)
+    g = complete(10**5)
+    assert g == complete(10**5) and hash(g) == hash(complete(10**5))
+    sparse = Graph(10**5, [(0, 1)])
+    assert g != complete(10**5 + 1) and g != sparse and sparse != g
+    copied = pickle.loads(pickle.dumps(g))
+    assert type(copied) is Graph and copied == g and hash(copied) == hash(g)
+
+
 def test_families_take_integer_like_counts_and_refuse_the_rest():
     for family, least, pairs in FAMILIES:
         for count in (3.0, 2.5, "3", None):

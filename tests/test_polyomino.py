@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from boardpile.polyomino import (
     BoardPilePolyomino,
     InvalidPolyomino,
-    _check_strips,
     compositions,
     enumerate_board_pile,
     layout,
@@ -82,7 +81,6 @@ def assert_valid_twin(x):
     # enumerate_board_pile and reflect skip the constructor's check: their
     # strips must pass it and build an equal object with the same hash
     assert all(type(v) is int for strip in x.strips for v in strip)
-    _check_strips(x.strips)
     twin = BoardPilePolyomino(x.strips)
     assert twin == x
     assert hash(twin) == hash(x)
@@ -142,6 +140,40 @@ def test_validate_accepts_bools_and_index_objects():
 def test_validate_nonpositive_length_rejected():
     with pytest.raises(InvalidPolyomino, match=r"strips\[0\]: length 0 must be positive"):
         BoardPilePolyomino([(0, 0)])
+
+
+# each fault alone, then first among other faults: the strips are checked in
+# one pass, bottom first, so the first faulty strip is reported, and within a
+# strip its shape, then its integers, its length and its offset
+STRIP_FAULTS = [
+    pytest.param([5], "strips[0]: 5 is not an (offset, length) pair", id="not-a-pair"),
+    pytest.param([None], "strips[0]: None is not an (offset, length) pair", id="none"),
+    pytest.param([(0, 1, 2)], "strips[0]: (0, 1, 2) is not an (offset, length) pair", id="triple"),
+    pytest.param([(0,)], "strips[0]: (0,) is not an (offset, length) pair", id="single"),
+    pytest.param("ab", "strips[0]: 'a' is not an (offset, length) pair", id="string"),
+    pytest.param(
+        [(0, 2), (4, 2), 5], "strips[1]: offset 4 outside 1..3", id="range-before-pair"
+    ),
+    pytest.param(
+        [(0, 2), (9, 2), (0.5, 1)], "strips[1]: offset 9 outside 1..3", id="range-before-integer"
+    ),
+    pytest.param([(1, 2), (1, 0)], "strips[0]: offset 1 must be 0", id="bottom-before-length"),
+    pytest.param(
+        [(0, 0), (1, "x")], "strips[0]: length 0 must be positive", id="length-before-integer"
+    ),
+    pytest.param([(1, 0)], "strips[0]: length 0 must be positive", id="length-before-offset"),
+    pytest.param([(0.5, 0)], "strips[0]: offset 0.5 is not an integer", id="integer-before-length"),
+]
+
+
+@pytest.mark.parametrize(
+    "given_as", [list, lambda rows: (row for row in rows)], ids=["list", "generator"]
+)
+@pytest.mark.parametrize("strips, message", STRIP_FAULTS)
+def test_validate_reports_the_first_fault(strips, message, given_as):
+    with pytest.raises(InvalidPolyomino) as refused:
+        BoardPilePolyomino(given_as(strips))
+    assert str(refused.value) == message
 
 
 # --- enumeration -----------------------------------------------------------
