@@ -92,8 +92,13 @@ def _integer(value, what: str, least: int | None = None) -> int:
 
 
 def _integer_tuple(values, what: str) -> tuple[int, ...]:
-    """The values as a tuple of ints, or _integer's ValueError for the first
-    that is not one; held first, so a one-shot iterable can still name it."""
+    """The values as a tuple of ints, or a ValueError that names `values` if
+    they are not iterable, or _integer's for the first that is not an int;
+    held first, so a one-shot iterable can still name it."""
+    try:
+        values = iter(values)
+    except TypeError:
+        raise ValueError(f"{values!r} is not a sequence of {what}s") from None
     values = tuple(values)
     try:
         return tuple(map(_index, values))

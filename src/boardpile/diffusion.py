@@ -7,10 +7,11 @@ constant to every stack never changes which chips move, and every trajectory
 eventually settles into a cycle of length 1 or 2.  So one loop, _orbit(),
 fires every trajectory until C_t equals C_{t-1} or C_{t-2}, holding three
 configurations and a checkpoint that raises PeriodNotOneOrTwo on any longer
-cycle.  _trajectory() fires min(steps, preperiod + period) times and repeats
-the cycle's tuples after the close: run() lists it, and `boardpile simulate`
-streams it in O(n) memory for any step count.  detect_period() puts a step
-budget around the loop.
+cycle.  It alone ends a trajectory: with a PeriodReport at the close, or
+with NoRepeatWithinBudget past its step budget.  detect_period() runs it
+out, and _trajectory() repeats the cycle's tuples after it, so it fires
+min(steps, preperiod + period) times: run() lists it, and `boardpile
+simulate` streams it in O(n) memory for any step count.
 
 One step on a graph with n vertices and m edges costs O(m) by the edge loop:
 every edge is visited.  Along a trajectory, though, C_t - C_{t-2}
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_right
-from collections import deque, namedtuple
+from collections import namedtuple
 from collections.abc import Generator, Iterable, Iterator, Sequence
 from functools import partial
 from itertools import compress, count, cycle, islice
@@ -52,11 +53,12 @@ DEFAULT_MAX_STEPS = 10_000
 class NoRepeatWithinBudget(RuntimeError):
     """No configuration recurred within the step budget.
 
-    Eventual periodicity is guaranteed, so hitting this means either the
-    budget was set pathologically low or the engine is broken.  The message
-    names n, m, the steps fired and, as a convergence signal, the number of
-    vertices where the last configuration differs from the one two steps
-    before; it shrinks to 0 as the trajectory nears its cycle.
+    Every trajectory ends in a cycle, but on a correct engine the preperiod
+    can still outgrow the budget: it grows with the spread of the stacks, and
+    a path with stacks in [-10^6, 10^6] exhausts the default (README).  The
+    message names n, m, the steps fired and, as a convergence signal, the
+    number of vertices where the last configuration differs from the one two
+    steps before; it shrinks to 0 as the trajectory nears its cycle.
     """
 
 
@@ -242,14 +244,14 @@ def fire_complete(multiset: Iterable[int]) -> Config:
     return _fire_blocks(sorted(values))
 
 
-def _orbit(g: Graph, start: Config) -> Generator[Config, None, tuple[Config, ...]]:
+def _orbit(g: Graph, start: Config, budget: int) -> Generator[Config, None, PeriodReport]:
     """Yield C_0, C_1, ... from the configuration `start` until the cycle closes.
 
     At the first t with C_t = C_{t-1} or C_t = C_{t-2}, return the cycle's
-    members as yielded, in firing order, instead of C_t.  Holds three
-    configurations, C_{t-3}, C_{t-2} and C_{t-1}, and a checkpoint moved at
-    steps 1, 2, 4, 8, ... (Brent's cycle finder), which catches any longer
-    cycle: PeriodNotOneOrTwo.
+    PeriodReport instead of C_t, and raise NoRepeatWithinBudget rather than
+    fire a step t > budget.  Holds three configurations, C_{t-3}, C_{t-2} and
+    C_{t-1}, and a checkpoint moved at steps 1, 2, 4, 8, ... (Brent's cycle
+    finder), which catches any longer cycle: PeriodNotOneOrTwo.
 
     The kernel is picked once, by _kernel(), before the first step, and a
     masks graph's neighbour masks are built then.  On a graph fired by the
@@ -273,6 +275,15 @@ def _orbit(g: Graph, start: Config) -> Generator[Config, None, tuple[Config, ...
     oldest, older, previous = None, None, start
     checkpoint, checkpoint_t = start, 0
     for t in count(1):
+        if t > budget:
+            signal = "no configuration two steps before C_1"
+            if oldest is not None:
+                changed = sum(map(ne, previous, oldest))
+                signal = f"C_{budget} differs from C_{budget - 2} at {changed} vertices"
+            raise NoRepeatWithinBudget(
+                f"no repeated configuration within {budget} steps "
+                f"(n = {g.n}, m = {_size(g)}, {budget} steps fired; {signal})"
+            )
         if kernel == "edges" and oldest is not None and 3 * sum(map(ne, previous, oldest)) <= g.n:
             if neighbours is None:
                 neighbours = _neighbour_lists(g)
@@ -280,9 +291,9 @@ def _orbit(g: Graph, start: Config) -> Generator[Config, None, tuple[Config, ...
         else:
             current = step(previous)
         if current == previous:
-            return (previous,)
+            return PeriodReport(t - 1, 1, (previous,))
         if current == older:
-            return (older, previous)
+            return PeriodReport(t - 2, 2, (older, previous))
         if current == checkpoint:
             raise PeriodNotOneOrTwo(
                 f"configuration repeated with cycle length {t - checkpoint_t}; "
@@ -296,13 +307,11 @@ def _orbit(g: Graph, start: Config) -> Generator[Config, None, tuple[Config, ...
 
 def _trajectory(g: Graph, start: Config, steps: int) -> Iterator[Config]:
     """Yield C_0, ..., C_steps: fired up to the close, then the cycle's tuples repeated."""
-    orbit = _orbit(g, start)
-    for t in range(steps + 1):
-        try:
-            yield next(orbit)
-        except StopIteration as closed:
-            yield from islice(cycle(closed.value), steps + 1 - t)
-            return
+    try:
+        report = yield from _orbit(g, start, steps)
+    except NoRepeatWithinBudget:
+        return
+    yield from islice(cycle(report.period_configs), steps + 1 - report.preperiod - report.period)
 
 
 def run(g: Graph, start: Sequence[int], steps: int) -> list[Config]:
@@ -326,30 +335,18 @@ def detect_period(g: Graph, start: Sequence[int], max_steps: int = DEFAULT_MAX_S
     """Find the eventual cycle of the trajectory from `start`.
 
     Cycles have length 1 or 2, so the least preperiod is the first t with
-    C_{t+1} = C_t (period 1) or else C_{t+2} = C_t (period 2); only the last
-    three configurations are held, O(n) memory.  Raises NoRepeatWithinBudget
+    C_{t+1} = C_t (period 1) or else C_{t+2} = C_t (period 2).  Runs _orbit()
+    out with max_steps as its budget, in O(n) memory: NoRepeatWithinBudget
     if nothing repeats within max_steps firings, and PeriodNotOneOrTwo with
     its length if the trajectory reaches a longer cycle.
     """
     max_steps = _integer(max_steps, "max_steps", 1)
-    orbit = _orbit(g, _config_on(g, start))
-    last = deque(maxlen=3)  # C_{t-2}, C_{t-1}, C_t
-    # taking C_t costs the t-th firing; the one that closes the cycle stops it
-    for t in range(max_steps + 1):
-        try:
-            last.append(next(orbit))
-        except StopIteration as closed:
-            members = closed.value
-            return PeriodReport(t - len(members), len(members), members)
-    if len(last) == 3:
-        changed = sum(map(ne, last[2], last[0]))
-        signal = f"C_{max_steps} differs from C_{max_steps - 2} at {changed} vertices"
-    else:
-        signal = "no configuration two steps before C_1"
-    raise NoRepeatWithinBudget(
-        f"no repeated configuration within {max_steps} steps "
-        f"(n = {g.n}, m = {_size(g)}, {max_steps} steps fired; {signal})"
-    )
+    orbit = _orbit(g, _config_on(g, start), max_steps)
+    try:
+        while True:
+            next(orbit)
+    except StopIteration as closed:
+        return closed.value
 
 
 def normalize(stacks: Sequence[int]) -> Config:

@@ -108,6 +108,10 @@ def _is_complete(g: Graph) -> bool:
 def _checked_keys(n: int, entries: Iterable) -> list[int]:
     """The key u*n + v, u < v, of each entry, raising on the first entry in
     order that is not a pair of distinct integer endpoints in range."""
+    try:
+        entries = iter(entries)
+    except TypeError:
+        raise ValueError(f"{entries!r} is not a sequence of edges") from None
     keys = []
     for pair in entries:
         try:

@@ -30,7 +30,11 @@ def _checked_strips(strips: Iterable[Strip]) -> tuple[Strip, ...]:
     """The strips as pairs of ints, or InvalidPolyomino for the first bad one."""
     checked = []
     below = 0  # the length of the strip below, 0 under the bottom strip
-    for i, strip in enumerate(strips):
+    try:
+        strips = enumerate(strips)
+    except TypeError:
+        raise InvalidPolyomino(f"{strips!r} is not a sequence of strips") from None
+    for i, strip in strips:
         try:
             d, length = strip
         except (TypeError, ValueError):

@@ -214,6 +214,12 @@ _JUNK = st.one_of(
 )
 _VALUES = st.one_of(st.integers(-3, 6), _JUNK)
 _GRAPHS = [Graph(0), boardpile.path(3), boardpile.cycle(4), boardpile.complete(8)]
+# a data argument given as a list, a tuple or a one-shot iterator, or
+# replaced by a value that is not iterable at all
+_GIVEN_AS = st.one_of(
+    st.sampled_from([list, tuple, iter]),
+    st.builds(lambda value: lambda _: value, st.one_of(st.integers(-3, 6), st.floats(), st.booleans(), st.none())),
+)
 
 
 @settings(deadline=None, max_examples=300)
@@ -222,7 +228,7 @@ _GRAPHS = [Graph(0), boardpile.path(3), boardpile.cycle(4), boardpile.complete(8
     entries=st.lists(st.one_of(st.tuples(_VALUES, _VALUES), _VALUES), max_size=4),
     size=_VALUES,
     g=st.sampled_from(_GRAPHS),
-    given_as=st.sampled_from([list, tuple, iter]),
+    given_as=_GIVEN_AS,
 )
 @example(stacks=[0, "a"], entries=[5], size="3", g=_GRAPHS[0], given_as=list)
 @example(stacks=[0, None], entries=[None], size=None, g=_GRAPHS[0], given_as=list)
@@ -231,15 +237,19 @@ _GRAPHS = [Graph(0), boardpile.path(3), boardpile.cycle(4), boardpile.complete(8
 @example(stacks=[], entries="ab", size=610, g=_GRAPHS[0], given_as=list)
 @example(stacks=[], entries=[], size=10**6, g=_GRAPHS[0], given_as=list)
 @example(stacks=[], entries=[], size=1e6, g=_GRAPHS[0], given_as=list)
+@example(stacks=[], entries=[], size=3, g=_GRAPHS[1], given_as=lambda _: 5)
+@example(stacks=[], entries=[], size=3, g=_GRAPHS[1], given_as=lambda _: None)
+@example(stacks=[], entries=[], size=3, g=_GRAPHS[1], given_as=lambda _: 1.5)
 def test_library_calls_return_or_refuse_with_a_value_error(stacks, entries, size, g, given_as):
-    # each data argument is made afresh for its call, as a list, a tuple or a
-    # one-shot iterator; a step budget too small is the one other refusal
+    # each data argument is made afresh for its call, as _GIVEN_AS draws it;
+    # a step budget too small is the one other refusal
     calls = [
         (lambda: BoardPilePolyomino(given_as(entries)), InvalidPolyomino),
         (lambda: Graph(size, given_as(entries)), ValueError),
         (lambda: boardpile.fire(g, given_as(stacks)), ValueError),
         (lambda: boardpile.fire_complete(given_as(stacks)), ValueError),
         (lambda: boardpile.normalize(given_as(stacks)), ValueError),
+        (lambda: boardpile.is_period_config(g, given_as(stacks)), ValueError),
         (lambda: boardpile.run(g, given_as(stacks), size), ValueError),
         (lambda: boardpile.detect_period(g, given_as(stacks), size), (ValueError, NoRepeatWithinBudget)),
         (lambda: boardpile.config_to_poly(given_as(stacks)), ValueError),
@@ -250,6 +260,34 @@ def test_library_calls_return_or_refuse_with_a_value_error(stacks, entries, size
             call()
         except refusal:
             pass
+
+
+NOT_ITERABLE = {
+    "fire": (lambda: boardpile.fire(boardpile.path(3), 5), ValueError, "5 is not a sequence of stacks"),
+    "run": (lambda: boardpile.run(boardpile.path(3), 5, 1), ValueError, "5 is not a sequence of stacks"),
+    "detect_period": (
+        lambda: boardpile.detect_period(boardpile.path(3), None),
+        ValueError,
+        "None is not a sequence of stacks",
+    ),
+    "is_period_config": (
+        lambda: boardpile.is_period_config(boardpile.path(3), 7),
+        ValueError,
+        "7 is not a sequence of stacks",
+    ),
+    "Graph": (lambda: Graph(3, 5), ValueError, "5 is not a sequence of edges"),
+    "BoardPilePolyomino": (lambda: BoardPilePolyomino(5), InvalidPolyomino, "5 is not a sequence of strips"),
+    "fire_complete": (lambda: boardpile.fire_complete(None), ValueError, "None is not a sequence of stacks"),
+    "config_to_poly": (lambda: boardpile.config_to_poly(None), ValueError, "None is not a sequence of stacks"),
+    "normalize": (lambda: boardpile.normalize(1.5), ValueError, "1.5 is not a sequence of stacks"),
+}
+
+
+@pytest.mark.parametrize("call, refusal, message", NOT_ITERABLE.values(), ids=NOT_ITERABLE)
+def test_data_that_is_not_iterable_is_refused_by_name(call, refusal, message):
+    with pytest.raises(refusal) as refused:
+        call()
+    assert str(refused.value) == message
 
 
 def test_cli_import_loads_neither_dataclasses_nor_typing():

@@ -392,6 +392,20 @@ def test_simulate_fires_only_up_to_the_close(tmp_path, monkeypatch, fire_audit, 
     assert fire_audit.calls - before == report.preperiod + report.period
 
 
+def test_simulate_short_of_the_close_fires_exactly_its_steps(tmp_path, fire_audit):
+    g, stacks = sparse_start(0)
+    report = boardpile.detect_period(g, stacks)
+    steps = report.preperiod + report.period - 1
+    gpath = write_doc(tmp_path, "g.json", {"n": g.n, "edges": [list(e) for e in g.edges]})
+    cpath = write_doc(tmp_path, "c.json", {"stacks": list(stacks)})
+    out = tmp_path / "rows.csv"
+    before = fire_audit.calls
+    assert main(["simulate", gpath, cpath, "--steps", str(steps), "--format", "csv", "--out", str(out)]) == 0
+    assert fire_audit.calls - before == steps
+    rows = [",".join(map(str, c)) for c in boardpile.run(g, stacks, steps)]
+    assert out.read_text(encoding="utf-8").splitlines() == rows
+
+
 # a star whose stacks are accepted on input (4300 digits) and outgrow the
 # int->str digit limit after one step
 BIG_STAR = ({"n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}, [10**4300 - 2] + [10**4300 - 1] * 3)

@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 from collections import namedtuple
 from itertools import combinations
+from operator import ne
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -138,6 +139,10 @@ def test_kernel_is_picked_from_n_and_m():
     assert kernel_of(Graph(0)) == "edges"
     assert kernel_of(dense_start()[0]) == "masks"
     assert diffusion._kernel(10**4, 5 * 10**4) == "edges"
+    # at n = 4272 the memory bound n^2 <= 256 m is the tighter one, and it
+    # holds at equality
+    assert diffusion._kernel(4272, 4272**2 // 256) == "masks"
+    assert diffusion._kernel(4272, 4272**2 // 256 - 1) == "edges"
     # a dense graph's masks hold each neighbour w of u at bits w and n + w
     rng = random.Random(4)
     g = Graph(40, [e for e in combinations(range(40), 2) if rng.random() < 0.9])
@@ -375,6 +380,36 @@ def test_run_stops_firing_once_the_cycle_closes(fire_audit, g, stacks, steps):
     assert trajectory[-1] == report.period_configs[(steps - report.preperiod) % report.period]
 
 
+@pytest.mark.parametrize("g, stacks, steps", RUN_CASES)
+def test_a_budget_short_of_the_close_fires_exactly_that_many_steps(fire_audit, g, stacks, steps):
+    # an off-by-one in the budget would fire one step more and drop it, which
+    # only the audit sees.  Every k costs k steps, so past 64 steps only both
+    # ends and the middle are run: every k of the dense row's 258 took 5.4 s
+    # under the audit on a 2-core host, these 0.4 s.
+    report = detect_period(g, stacks)
+    closes = report.preperiod + report.period
+    trajectory = run(g, stacks, closes)
+    for k in range(closes) if closes <= 64 else [*range(32), closes // 2, *range(closes - 4, closes)]:
+        before = fire_audit.calls
+        assert run(g, stacks, k) == trajectory[: k + 1]
+        assert fire_audit.calls - before == k
+    assert detect_period(g, stacks, closes) == report
+    budget = closes - 1
+    signal = "no configuration two steps before C_1"
+    if budget > 1:
+        changed = sum(map(ne, trajectory[budget], trajectory[budget - 2]))
+        signal = f"C_{budget} differs from C_{budget - 2} at {changed} vertices"
+    exhausted = (
+        f"no repeated configuration within {budget} steps "
+        f"(n = {g.n}, m = {len(g.edges)}, {budget} steps fired; {signal})"
+    )
+    before = fire_audit.calls
+    with pytest.raises(NoRepeatWithinBudget) as refused:
+        detect_period(g, stacks, budget)
+    assert str(refused.value) == exhausted
+    assert fire_audit.calls - before == budget
+
+
 @st.composite
 def graph_and_two_configs(draw):
     # b keeps some of a's stacks and redraws the rest, so anything from no
@@ -409,6 +444,22 @@ def test_sparse_trajectory_fires_by_correction(monkeypatch):
     # the first steps change most vertices and are fired in full; the
     # corrections take over as the trajectory settles
     assert 0 < len(corrected) <= closes - 2
+
+
+def test_a_step_with_a_third_of_the_vertices_changed_is_a_correction(monkeypatch):
+    # C_t is a correction exactly when C_{t-1} differs from C_{t-3} at no
+    # more than a third of the vertices, a third included
+    g, stacks = path(6), (3, 3, -3, -3, -1, -3)
+    report = detect_period(g, stacks)
+    closes = report.preperiod + report.period
+    configs = run(g, stacks, closes)
+    changed = [sum(map(ne, configs[t - 1], configs[t - 3])) for t in range(3, closes + 1)]
+    assert 2 in changed
+    corrected = []
+    step = diffusion._fire_delta
+    monkeypatch.setattr(diffusion, "_fire_delta", lambda *args: corrected.append(1) or step(*args))
+    assert run(g, stacks, closes) == configs
+    assert len(corrected) == sum(3 * k <= g.n for k in changed)
 
 
 def test_dense_trajectory_fires_by_masks(monkeypatch):
@@ -486,8 +537,10 @@ def test_detect_period_rejects_bad_budget():
 def test_detect_period_refuses_a_budget_that_is_not_an_integer(fire_audit):
     before = fire_audit.calls
     for max_steps, shown in ((2.5, "2.5"), ("3", "'3'"), (None, "None")):
-        with pytest.raises(ValueError, match=f"^max_steps {shown} is not an integer$"):
-            detect_period(path(3), (0, 1, 2), max_steps)
+        # the budget is checked before the stacks
+        for stacks in ((0, 1, 2), None):
+            with pytest.raises(ValueError, match=f"^max_steps {shown} is not an integer$"):
+                detect_period(path(3), stacks, max_steps)
     assert fire_audit.calls == before
 
 
