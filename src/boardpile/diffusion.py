@@ -20,10 +20,11 @@ differ from two steps back, _orbit() fires C_{t-1} as a correction of the step
 C_{t-3} -> C_{t-2}, in O(n + sum of deg(v) over the vertices v that differ).
 _orbit() picks one of three kernels once per trajectory, by _kernel() from n
 and m alone, and all give identical results (a lone fire() builds no masks):
-- "rank", on K_n with 3n < m: each vertex moves by how many stacks sit above
-  and below its own, O(n log n).  Equal stacks move alike, so on a sorted
-  multiset _fire_blocks() moves each block of equal values at once: it is the
-  step behind fire_complete(), the unlabelled scan and the fire-reflect check.
+- "rank", on K_n with 3n < m, so n >= 8: each vertex moves by how many
+  stacks sit above and below its own, O(n log n).  Equal stacks move alike,
+  so on a sorted multiset _fire_blocks() moves each block of equal values at
+  once: it is the step behind fire_complete(), the unlabelled scan and the
+  fire-reflect check.
 - "masks", on a graph dense enough that they beat the edge loop: for each
   distinct stack x one 2n-bit mask marks the vertices at or above x once and
   those above x twice.  ANDed with a vertex's neighbour mask, built once per
@@ -118,6 +119,10 @@ def _fire_blocks(ascending: Sequence[int]) -> Config:
 
 def _kernel(n: int, m: int) -> str:
     """How _orbit() fires a graph on n vertices with m edges: "rank", "masks" or "edges"."""
+    # 3n < m leaves K_2..K_7 to the edge loop: measured on Python 3.11 (a
+    # step on K_5: 0.87 us by the edge loop, 1.42 by rank; K_7: 1.90 and
+    # 1.76; K_8: 2.47 and 2.15; K_10: 3.70 and 2.32), their C(n, 2) edges
+    # cost about what rank's sort and dict do
     if m == n * (n - 1) // 2 and 3 * n < m:
         return "rank"
     # Measured on Python 3.11 (README), a mask step costs about as much as the
@@ -223,9 +228,10 @@ def fire(g: Graph, stacks: Sequence[int]) -> Config:
 
     Every vertex gains one chip per strictly richer neighbour and loses one
     per strictly poorer neighbour.  The total number of chips is conserved.
-    Costs O(n log n) on K_n, by rank, and O(m) on any other graph, by the
-    edge loop.  A trajectory may fire a dense graph faster, by neighbour
-    masks, since it builds them once for all its steps (see _orbit()).
+    Costs O(n log n) on K_n with n >= 8, by rank, and O(m) on any other
+    graph, K_2 to K_7 included, by the edge loop.  A trajectory may fire a
+    dense graph faster, by neighbour masks, since it builds them once for all
+    its steps (see _orbit()).
     """
     c = _config_on(g, stacks)
     return _fire_rank(c) if _kernel(g.n, _size(g)) == "rank" else _fire_raw(g, c)

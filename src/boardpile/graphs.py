@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
+from functools import cached_property
 from itertools import chain, combinations, islice, pairwise, repeat
 from operator import eq, index
 
@@ -22,12 +23,10 @@ class Graph:
     step walks the edges and their endpoints in the order they sit in memory.
     The family constructors build the same layout in O(m), with no check,
     sort or decode: they make the edges in ascending order from one int per
-    vertex.  complete(n) holds n alone, O(1), and makes its C(n, 2) edges on
-    the first read of `edges`, which no rank step needs; equality, hashing
-    and pickling never read them.
+    vertex.  complete(n) holds n alone, O(1): it leaves `edges` unset, and
+    the cached property makes its C(n, 2) edges on their first read, which no
+    rank step needs; equality, hashing, copying and pickling never read them.
     """
-
-    __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         n = _integer(n, "vertex count")
@@ -51,22 +50,14 @@ class Graph:
         vertices = list(range(n)) if n <= 2 * len(keys) else range(n)
         # through a list: tuple() fed straight from an iterator took 2.8x
         # as long on 10^6 edges, most of it in the cyclic collector
-        self._fill(n, tuple([(vertices[u], vertices[v]) for u, v in map(divmod, keys, repeat(n))]))
+        edges = tuple([(vertices[u], vertices[v]) for u, v in map(divmod, keys, repeat(n))])
+        vars(self).update(n=n, edges=edges)
 
-    def _fill(self, n: int, edges: tuple[Edge, ...] | None) -> None:
-        """Set n, and the canonical, ascending edges unless None: then the
-        graph is K_n, whose edges __getattr__ makes on their first read."""
-        object.__setattr__(self, "n", n)
-        if edges is not None:
-            object.__setattr__(self, "edges", edges)
-
-    def __getattr__(self, name):
-        # reached only for an unset field, and only complete() leaves one
-        if name != "edges":
-            raise AttributeError(f"'Graph' object has no attribute {name!r}")
-        edges = _shaped(self.n, lambda vs: combinations(vs, 2))
-        object.__setattr__(self, "edges", edges)
-        return edges
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        # __init__ and _family write the fields through vars(), and only
+        # complete() leaves `edges` unset: this makes K_n's on their first read
+        return _shaped(self.n, lambda vs: combinations(vs, 2))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -94,10 +85,8 @@ class Graph:
 
 def _size(g: Graph) -> int:
     """m, the edge count of g, without making the edges of a K_n that has none yet."""
-    try:
-        return len(object.__getattribute__(g, "edges"))
-    except AttributeError:
-        return g.n * (g.n - 1) // 2
+    edges = vars(g).get("edges")
+    return g.n * (g.n - 1) // 2 if edges is None else len(edges)
 
 
 def _is_complete(g: Graph) -> bool:
@@ -149,7 +138,9 @@ def _family(
     if n < least:
         raise ValueError(too_few)
     graph = Graph.__new__(Graph)
-    graph._fill(n, None if pairs is None else _shaped(n, pairs))
+    vars(graph)["n"] = n
+    if pairs is not None:
+        vars(graph)["edges"] = _shaped(n, pairs)
     return graph
 
 

@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import sys
 import tokenize
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,22 @@ def test_result_classes_behave_as_values(value, twin, other, text, field):
     for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
         assert type(copied) is type(value)
         assert copied == value and hash(copied) == hash(value)
+
+
+def test_graph_edges_can_be_neither_assigned_nor_deleted():
+    # a deleted `edges` would read back as K_n's: path(3)'s as K_3's three pairs
+    unread, read = boardpile.complete(4), boardpile.complete(4)
+    assert len(read.edges) == 6
+    graphs = (boardpile.path(3), Graph(2, [(0, 1)]), unread, read)
+    for g in graphs:
+        with pytest.raises(AttributeError):
+            g.edges = ()
+        with pytest.raises(AttributeError):
+            del g.edges
+        with pytest.raises(AttributeError):
+            g.m = 3
+    assert [g.edges for g in graphs[:2]] == [((0, 1), (1, 2)), ((0, 1),)]
+    assert unread.edges == read.edges == tuple(combinations(range(4), 2))
 
 
 def test_polyomino_check_has_no_back_door():

@@ -1,3 +1,4 @@
+import copy
 import json
 import pickle
 import random
@@ -214,8 +215,8 @@ def test_complete_compares_hashes_and_pickles_by_n_alone(monkeypatch):
     assert g == complete(10**5) and hash(g) == hash(complete(10**5))
     sparse = Graph(10**5, [(0, 1)])
     assert g != complete(10**5 + 1) and g != sparse and sparse != g
-    copied = pickle.loads(pickle.dumps(g))
-    assert type(copied) is Graph and copied == g and hash(copied) == hash(g)
+    for copied in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert type(copied) is Graph and copied == g and hash(copied) == hash(g)
 
 
 def test_families_take_integer_like_counts_and_refuse_the_rest():
