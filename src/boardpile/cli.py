@@ -38,7 +38,8 @@ _REFLECT_CAP = 11
 
 # count's enumeration and enumerate --count-only walk every polyomino of each
 # size asked for: 7,015,418 of them at 15, and about 3.2 times as many per
-# cell beyond
+# cell beyond; enumerate --n 15 --count-only takes 1.8-2.1 s end to end at
+# the cap, and count --upto 15 2.4-2.5 s
 _ENUMERATE_CAP = 15
 
 # render's drawing holds one character per cell and per blank left of a strip

@@ -7,7 +7,10 @@ strip below to the right end of this strip (measured on grid lines).  The
 bottom strip carries d = 0 by convention.  Two stacked strips share at least
 one cell edge exactly when 1 <= d <= length_below + length - 1, which is the
 validity test.  The public constructor applies it, naming the first bad
-strip; enumerate_board_pile() and reflect() build valid strips and skip it.
+strip.  enumerate_board_pile() and reflect() build only valid strips of ints
+and skip it: the walk builds each composition's strip choices once and lets
+itertools assemble every polyomino from them, so its per-item step runs no
+check and no Python-level construction.
 """
 
 from __future__ import annotations
@@ -109,19 +112,26 @@ def compositions(total: int) -> Iterator[tuple[int, ...]]:
 def enumerate_board_pile(n: int) -> Iterator[BoardPilePolyomino]:
     """Every board-pile polyomino with n cells, each exactly once.
 
-    Strip lengths run over compositions of n in lexicographic order; for each
-    composition the offsets sweep their valid ranges odometer-style, last
-    offset fastest.  The stream is lazy since counts grow roughly as 3.2^n.
-    Every offset lies in its valid range by construction, so the objects are
-    built without the constructor's check.
+    Strip lengths run over compositions of n in lexicographic order.  For
+    each composition the (d, length) pairs each strip may take are built
+    once, the bottom strip's being the single (0, l_0), and the polyominoes
+    are their itertools.product, odometer-style, last offset fastest.  Each
+    yielded polyomino's strips are the tuple product makes, holding those
+    shared pair tuples.  Every offset lies in its valid range by
+    construction, so tuple.__new__ makes the objects: no per-item check and
+    no Python-level construction runs, and the generator only passes each
+    item on.  The stream is lazy since counts grow roughly as 3.2^n.
     """
     n = _integer(n, "cell count", 1)
     for lengths in compositions(n):
-        bottom = ((0, lengths[0]),)
-        above = lengths[1:]
-        ranges = [range(1, below + length) for below, length in zip(lengths, above)]
-        for offsets in itertools.product(*ranges):
-            yield _trusted(bottom + tuple(zip(offsets, above)))
+        choices = [((0, lengths[0]),)]
+        choices += [
+            tuple(zip(range(1, below + length), itertools.repeat(length)))
+            for below, length in zip(lengths, lengths[1:])
+        ]
+        yield from map(
+            tuple.__new__, itertools.repeat(BoardPilePolyomino), zip(itertools.product(*choices))
+        )
 
 
 def layout(x: BoardPilePolyomino) -> tuple[tuple[int, int], ...]:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from boardpile.polyomino import (
     BoardPilePolyomino,
     InvalidPolyomino,
+    _trusted,
     compositions,
     enumerate_board_pile,
     layout,
@@ -78,8 +79,12 @@ def board_piles(draw):
 
 
 def assert_valid_twin(x):
-    # enumerate_board_pile and reflect skip the constructor's check: their
-    # strips must pass it and build an equal object with the same hash
+    # enumerate_board_pile and reflect skip the constructor's check: they
+    # must make the class itself, holding a tuple of (int, int) tuples, whose
+    # strips pass the check and build an equal object with the same hash
+    assert type(x) is BoardPilePolyomino
+    assert type(x.strips) is tuple
+    assert all(type(strip) is tuple and len(strip) == 2 for strip in x.strips)
     assert all(type(v) is int for strip in x.strips for v in strip)
     twin = BoardPilePolyomino(x.strips)
     assert twin == x
@@ -177,6 +182,26 @@ def test_validate_reports_the_first_fault(strips, message, given_as):
 
 
 # --- enumeration -----------------------------------------------------------
+
+
+def odometer_board_pile(n):
+    """Reference walk, the plain odometer: per composition, the product of the
+    offset ranges, each offset tuple zipped with the lengths above the bottom."""
+    for lengths in compositions(n):
+        bottom = ((0, lengths[0]),)
+        above = lengths[1:]
+        ranges = [range(1, below + length) for below, length in zip(lengths, above)]
+        for offsets in itertools.product(*ranges):
+            yield _trusted(bottom + tuple(zip(offsets, above)))
+
+
+def test_enumerate_matches_the_odometer_stream():
+    # the same strips in the same order: compositions in lexicographic
+    # order, last offset fastest
+    for n in range(1, 12):
+        assert [x.strips for x in enumerate_board_pile(n)] == [
+            x.strips for x in odometer_board_pile(n)
+        ]
 
 
 def test_enumerate_single_cell():
