@@ -1,3 +1,5 @@
+import faulthandler
+import os
 import random
 import sys
 
@@ -52,6 +54,31 @@ _audit = FireAudit()
 _originals = {
     name: step for name, step in vars(diffusion).items() if name.startswith("_fire_") and callable(step)
 }
+
+
+# Each test, its function-scoped fixtures included, gets this many seconds,
+# far above the slowest test (about 6 s): past it the tracebacks of every
+# thread go to the session's stderr and the run ends with exit code 1, so a
+# loop that stops making progress fails the suite instead of hanging it.
+_TEST_SECONDS = 300
+
+
+def pytest_configure(config):
+    # output capture is suspended while configure hooks run, so this is the
+    # session's own stderr
+    global _stderr
+    _stderr = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(_stderr)
+
+
+@pytest.fixture(autouse=True)
+def time_bound():
+    faulthandler.dump_traceback_later(_TEST_SECONDS, exit=True, file=_stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def pytest_sessionstart(session):

@@ -442,6 +442,39 @@ def test_period_writes_stacks_past_the_digit_limit(tmp_path, capsys):
     assert invoke(["period", g, c], capsys) == (0, dumps_unlimited(doc), "")
 
 
+# lists of stacks, short and past the length at which the encoder starts to
+# win over str.join, of either sign, now and then one past the int->str digit
+# limit
+stack_lists = st.lists(
+    st.integers() | st.sampled_from([10**4300, -(10**5000) + 1]),
+    max_size=64,
+).map(tuple)
+
+
+@settings(deadline=None)
+@given(stack_lists, st.booleans())
+@example((), False)
+@example((0,), True)
+@example(tuple(range(-31, 0)), False)
+@example((10**4300,) * 32, True)
+def test_stack_text_equals_its_references(c, fire_reflect):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # as main() runs
+    try:
+        stacks = {"stacks": list(c)}
+        # a CSV row, one member of simulate's row list and period's config
+        # list, and map's document with and without its check
+        assert cli._stacks_text(c, ",") == ",".join(map(str, c))
+        assert f"[\n{cli._stacks_block(c, '  ')}\n]" == json.dumps([stacks], indent=2)
+        configs = json.dumps({"configs": [stacks]}, indent=2)
+        assert f'{{\n  "configs": [\n{cli._stacks_block(c, "    ")}\n  ]\n}}' == configs
+        assert cli._stacks_block(c, "") == json.dumps(stacks, indent=2)
+        checked = json.dumps({**stacks, "fire_reflect": fire_reflect}, indent=2)
+        assert cli._stacks_block(c, "", fire_reflect=fire_reflect) == checked
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # --- enumerate / render ----------------------------------------------------------
 
 
@@ -471,7 +504,7 @@ def test_enumerate_ascii(capsys):
 
 def test_enumerate_ascii_streams_in_flat_memory(monkeypatch):
     # n = 10 draws 20,727 blocks; joining them all before writing peaked
-    # near 2.6 MB, writing each as it is drawn stays under 0.1 MB
+    # near 2.6 MB, writing each as it is drawn peaks near 0.2 MB
     monkeypatch.setattr(sys, "stdout", Sink())
     argv = ["enumerate", "--n", "10", "--ascii"]
     main(argv)  # fill the interpreter's free lists first, or tracemalloc counts filling them
