@@ -9,6 +9,7 @@ All documents are UTF-8 JSON objects:
 * configuration: {"stacks": [s_0, ..., s_{N-1}]};
 * polyomino: {"strips": [[d, length], ...]}, bottom strip first.
 
+A key given twice in one object is malformed, whichever value would win.
 Integer fields take JSON integers only, parsed under the int->str digit
 limit main() was entered with; the rest runs with the limit lifted.  Counts
 are serialized as decimal strings so arbitrary-precision values survive any
@@ -45,7 +46,9 @@ _ENUMERATE_CAP = 15
 # render's drawing holds one character per cell and per blank left of a strip
 # (0.1 s and 34 MB at the cap); map turns strips into one stack per cell, each
 # an indented JSON line (0.15 s and 44 MB end to end at the cap for one strip,
-# 0.22 s and 53 MB with --check)
+# 0.22 s and 53 MB with --check).  The same cells in 500,000 strips take
+# 0.6 s and 107 MB, 1.3 s and 180 MB with --check: the parsed document is
+# dropped once the polyomino holds its strips (158 and 230 MB when kept).
 _RENDER_CAP = 10**7
 _MAP_CAP = 10**6
 
@@ -65,6 +68,17 @@ class InputError(Exception):
     """Malformed or inconsistent input document or flag value."""
 
 
+def _members(pairs: list) -> dict:
+    """A JSON object's members as a dict, refusing a key given twice, whose
+    last value json would otherwise keep without a word."""
+    members = {}
+    for key, value in pairs:
+        if key in members:
+            raise ValueError(f"duplicate key {key!r}")
+        members[key] = value
+    return members
+
+
 def _read_document(path: str, name: str) -> dict:
     # bytes from either source, decoded here, so the locale's stdin error
     # handler cannot let undecodable bytes through
@@ -76,18 +90,22 @@ def _read_document(path: str, name: str) -> dict:
                 data = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {name} from {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{name} is not UTF-8: {exc}") from exc
+    del data  # only the text is parsed
     unlimited = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(_document_digits)
     try:
-        doc = json.loads(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{name} is not UTF-8: {exc}") from exc
+        doc = json.loads(text, object_pairs_hook=_members)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"invalid JSON in {name}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     except (ValueError, RecursionError) as exc:
-        # integer literals past the int->str digit limit, nesting past the stack
+        # integer literals past the int->str digit limit, nesting past the
+        # stack, a key given twice
         raise InputError(f"invalid JSON in {name}: {exc}") from exc
     finally:
         sys.set_int_max_str_digits(unlimited)
@@ -138,7 +156,11 @@ def _load_graph_and_stacks(args) -> tuple[bp.graphs.Graph, tuple[int, ...]]:
     if type(n) is not int:
         raise InputError(f"{name}: field 'n': expected an integer")
     if "family" not in doc:
-        g = _construct(name, bp.graphs.Graph, n, _integers(doc, name, "edges", "u, v"))
+        # the list iterator drops the parsed entries once Graph has checked
+        # them all, before its sort: nothing else may hold them
+        edges = iter(_integers(doc, name, "edges", "u, v"))
+        del doc
+        g = _construct(name, bp.graphs.Graph, n, edges)
         return g, _load_stacks(args.config, n)
     family = doc["family"]
     if not isinstance(family, str) or family not in _FAMILIES:
@@ -294,7 +316,8 @@ def _cmd_map(args) -> int:
     doc = _read_document(args.document, name)
     if "strips" in doc and "stacks" in doc:
         raise InputError(f"{name} has both 'strips' and 'stacks': give one")
-    if "strips" in doc:
+    to_stacks = "strips" in doc
+    if to_stacks:
         x = _polyomino(doc)
         if x.cells > _MAP_CAP:
             raise InputError(f"{name}: field 'strips': {x.cells} cells, capped at {_MAP_CAP}")
@@ -303,10 +326,12 @@ def _cmd_map(args) -> int:
         if not stacks:
             raise InputError(f"{name}: field 'stacks': expected a nonempty list of integers")
         x = bp.bijection.config_to_poly(bp.diffusion.normalize(stacks))
+        del stacks
     else:
         raise InputError(f"{name} needs either 'strips' or 'stacks'")
+    del doc  # x holds all that is left to do
     check = {"fire_reflect": bp.bijection.check_fire_reflect(x)} if args.check else {}
-    if "strips" in doc:
+    if to_stacks:
         text = _stacks_block(bp.bijection.poly_to_config(x), "", **check)
     else:
         text = json.dumps({"strips": x.strips, **check}, indent=2)

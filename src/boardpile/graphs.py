@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, MutableSequence, Sequence
 from functools import cached_property
 from itertools import chain, combinations, islice, pairwise, repeat
 from operator import eq, index
@@ -21,6 +21,9 @@ class Graph:
     is checked, the keys u*n + v are sorted and the edge tuples are decoded
     from them in ascending order, all sharing one int object per vertex, so a
     step walks the edges and their endpoints in the order they sit in memory.
+    The checked keys are packed 8 bytes each, and no entry is read twice:
+    given iter() of an entry list that nothing else holds, as the CLI passes
+    its parsed document, the build frees the entries before the sort.
     The family constructors build the same layout in O(m), with no check,
     sort or decode: they make the edges in ascending order from one int per
     vertex.  complete(n) holds n alone, O(1): it leaves `edges` unset, and
@@ -32,19 +35,14 @@ class Graph:
         n = _integer(n, "vertex count")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        keys = _checked_keys(n, edges)
-        keys.sort()
-        # once sorted, copies of an edge sit side by side
+        # sorted() boxes the keys again, into a list in which copies of an
+        # edge sit side by side; the packed keys it read go as it returns
+        keys = sorted(_checked_keys(n, edges))
         if any(map(eq, keys, islice(keys, 1, None))):
             key = next(key for key, following in pairwise(keys) if key == following)
             raise ValueError(f"duplicate edge {divmod(key, n)}")
-        if n * n <= 1 << 63:
-            # 8 bytes a key, against a list slot and an int object: the
-            # edges are then made in the memory the ints held.  Loading
-            # the module costs 0.1 MB, so only a checked build loads it.
-            from array import array
-
-            keys = array("q", keys)
+        # packed again, the edges are made in the memory the sorted ints held
+        keys = _packed(n, keys)
         # past 2m vertices most are isolated: a list of them all would
         # outweigh the edges
         vertices = list(range(n)) if n <= 2 * len(keys) else range(n)
@@ -94,14 +92,27 @@ def _is_complete(g: Graph) -> bool:
     return _size(g) == g.n * (g.n - 1) // 2
 
 
-def _checked_keys(n: int, entries: Iterable) -> list[int]:
+def _packed(n: int, keys: Iterable[int] = ()) -> MutableSequence[int]:
+    """The keys u*n + v of a graph on n vertices, 8 bytes each in an array
+    when n*n fits in 64 bits, against a list slot and an int object each."""
+    if n * n <= 1 << 63:
+        # loading the module costs 0.1 MB, so only a checked build loads it
+        from array import array
+
+        return array("q", keys)
+    return list(keys)
+
+
+def _checked_keys(n: int, entries: Iterable) -> MutableSequence[int]:
     """The key u*n + v, u < v, of each entry, raising on the first entry in
-    order that is not a pair of distinct integer endpoints in range."""
+    order that is not a pair of distinct integer endpoints in range.  The
+    keys are _packed: until the last entry is read, the entries are alive
+    beside them."""
     try:
         entries = iter(entries)
     except TypeError:
         raise ValueError(f"{entries!r} is not a sequence of edges") from None
-    keys = []
+    keys = _packed(n)
     for pair in entries:
         try:
             u, v = pair

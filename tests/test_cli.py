@@ -46,6 +46,14 @@ def write_doc(tmp_path, name, doc):
     return str(target)
 
 
+def write_texts(tmp_path, texts):
+    """The paths of doc0.json, doc1.json, ... holding the texts as given."""
+    paths = [tmp_path / f"doc{i}.json" for i in range(len(texts))]
+    for path, text in zip(paths, texts):
+        path.write_text(text, encoding="utf-8")
+    return list(map(str, paths))
+
+
 def invoke(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -361,6 +369,18 @@ class Sink:
         return len(text)
 
 
+def traced_peak(call):
+    """call()'s result and the peak tracemalloc traces while it runs, called
+    once first to fill the interpreter's free lists, or tracemalloc counts
+    filling them."""
+    call()
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_simulate_streams_in_one_slot_per_step(tmp_path, monkeypatch, fmt):
     # 1,000,000 steps on P5: a list with one slot per step would alone take
@@ -370,14 +390,28 @@ def test_simulate_streams_in_one_slot_per_step(tmp_path, monkeypatch, fmt):
     c = write_doc(tmp_path, "c.json", P5_CONFIG)
     monkeypatch.setattr(sys, "stdout", Sink())
     argv = ["simulate", g, c, "--steps", "1000000", "--format", fmt]
-    main(argv)  # fill the interpreter's free lists first, or tracemalloc counts filling them
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: main(argv))
+    assert code == 0
     assert peak < 2 * 1024 * 1024
+
+
+def test_period_frees_its_parsed_edges_before_the_graph_sorts(tmp_path, monkeypatch):
+    # The parsed edges, a list and two ints an edge, outweigh what Graph
+    # keeps of them.  Held until Graph returned, they made this 20,000-edge
+    # period peak at 1.57x the peak of json.loads on the text; dropped once
+    # Graph has checked them, 1.10x.
+    g, stacks = sparse_start(1, n=4000, m=20000)
+    edges = [list(e) for e in g.edges]
+    random.Random(1).shuffle(edges)
+    text = json.dumps({"n": g.n, "edges": edges})
+    gpath = tmp_path / "g.json"
+    gpath.write_text(text, encoding="utf-8")
+    cpath = write_doc(tmp_path, "c.json", {"stacks": list(stacks)})
+    monkeypatch.setattr(sys, "stdout", Sink())
+    parse = traced_peak(lambda: json.loads(text))[1]
+    code, peak = traced_peak(lambda: main(["period", str(gpath), cpath]))
+    assert code == 0
+    assert peak < 1.25 * parse
 
 
 @pytest.mark.parametrize("g, stacks", [(boardpile.path(5), P5_CONFIG["stacks"]), sparse_start(0)])
@@ -507,13 +541,8 @@ def test_enumerate_ascii_streams_in_flat_memory(monkeypatch):
     # near 2.6 MB, writing each as it is drawn peaks near 0.2 MB
     monkeypatch.setattr(sys, "stdout", Sink())
     argv = ["enumerate", "--n", "10", "--ascii"]
-    main(argv)  # fill the interpreter's free lists first, or tracemalloc counts filling them
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: main(argv))
+    assert code == 0
     assert peak < 512 * 1024
 
 
@@ -626,6 +655,26 @@ def test_map_round_trips_the_four_strip_example(tmp_path, capsys):
     assert (code, json.loads(back)) == (0, strips)
 
 
+def test_map_frees_its_parsed_strips_once_the_polyomino_is_built(tmp_path, monkeypatch):
+    # Held until map returned, the parsed strips of these 50,000 made it peak
+    # at 3.1x the peak of json.loads on the text; dropped once the polyomino
+    # holds them, 2.1x: its stacks and their text weigh the rest.
+    rng = random.Random(2)
+    strips, below = [], 0
+    for _ in range(50_000):
+        length = rng.randint(1, 3)
+        strips.append([rng.randint(1, below + length - 1) if below else 0, length])
+        below = length
+    text = json.dumps({"strips": strips})
+    p = tmp_path / "x.json"
+    p.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", Sink())
+    parse = traced_peak(lambda: json.loads(text))[1]
+    code, peak = traced_peak(lambda: main(["map", str(p)]))
+    assert code == 0
+    assert peak < 2.6 * parse
+
+
 def test_map_rejects_transient_stacks(tmp_path, capsys):
     p = write_doc(tmp_path, "c.json", {"stacks": [0, 2]})
     code, _, err = invoke(["map", p], capsys)
@@ -663,12 +712,8 @@ PAST_THE_LIMIT = {
 
 @pytest.mark.parametrize("command, texts, kind", PAST_THE_LIMIT.values(), ids=PAST_THE_LIMIT.keys())
 def test_documents_reject_integers_past_the_digit_limit(tmp_path, capsys, command, texts, kind):
-    paths = []
-    for i, text in enumerate(texts):
-        paths.append(tmp_path / f"doc{i}.json")
-        paths[-1].write_text(text, encoding="utf-8")
     steps = ["--steps", "1"] if command == "simulate" else []
-    code, out, err = invoke([command, *map(str, paths), *steps], capsys)
+    code, out, err = invoke([command, *write_texts(tmp_path, texts), *steps], capsys)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: invalid JSON in {kind} document: ") and "4301 digits" in err
 
@@ -689,6 +734,30 @@ def test_map_rejects_nesting_past_recursion_limit(tmp_path, capsys):
     code, _, err = invoke(["map", str(p)], capsys)
     assert code == 2
     assert "invalid JSON" in err
+
+
+# a key given twice, of which json alone keeps the last value: each of these
+# ran to exit 0 on that value
+DUPLICATE_KEYS = {
+    "graph": ("period", ['{"n": 3, "edges": [[0, 1]], "n": 2}', '{"stacks": [1, 0]}'], "graph", "n"),
+    "configuration": (
+        "simulate",
+        ['{"n": 2, "edges": [[0, 1]]}', '{"stacks": [1, 0, 2], "stacks": [0, 0]}'],
+        "configuration",
+        "stacks",
+    ),
+    "map": ("map", ['{"strips": [[0, 1]], "strips": [[0, 2]]}'], "input", "strips"),
+}
+
+
+@pytest.mark.parametrize("command, texts, kind, key", DUPLICATE_KEYS.values(), ids=DUPLICATE_KEYS.keys())
+def test_documents_reject_a_key_given_twice(tmp_path, capsys, command, texts, kind, key):
+    steps = ["--steps", "1"] if command == "simulate" else []
+    assert invoke([command, *write_texts(tmp_path, texts), *steps], capsys) == (
+        2,
+        "",
+        f"error: invalid JSON in {kind} document: duplicate key {key!r}\n",
+    )
 
 
 @pytest.mark.parametrize(
